@@ -40,6 +40,7 @@ from .estimate import (
     EstimatorStage,
     alignment_cost,
     estimate_joint,
+    estimate_multiframe,
     estimate_pairwise,
     identity_estimator,
     joint_estimator,
@@ -71,7 +72,6 @@ from .perturb import PRESETS, MiscalBounds, ScenarioPreset, apply_miscalibration
 from .pipeline import (
     accumulate_radar,
     aggregate_sequence,
-    estimate_multiframe,
     refine_iterative,
     refine_iterative_detailed,
     refine_multiframe,

@@ -29,7 +29,7 @@ from .dataio import (
     save_calib,
     save_frame,
 )
-from .errors import CalibrationError
+from .errors import CalibrationError, ParseError
 from .estimate import (
     AlignmentCostConfig,
     identity_estimator,
@@ -38,7 +38,7 @@ from .estimate import (
     pairwise_estimator,
     true_edges,
 )
-from .loss import LossWeights, PredictionSet
+from .loss import PAIR_NAMES, LossWeights, PredictionSet
 from .metrics import (
     ErrorRecord,
     error_record,
@@ -186,7 +186,7 @@ def _bounds_from_args(args: argparse.Namespace):
     return MiscalBounds(args.max_translation, math.radians(args.max_rotation))
 
 
-def _build_estimator(name: str, w: LossWeights, cfg: AlignmentCostConfig, seed: int, budget: int):
+def _build_estimator(name: str, w: LossWeights, cfg: AlignmentCostConfig, seed: int):
     if name == "oracle":
         return oracle_estimator
     if name == "identity":
@@ -261,9 +261,7 @@ def _calibrate_run(task: dict) -> tuple[int, list[dict]]:
             est_seed = int(
                 np.random.SeedSequence((task["seed"], run, frame.index)).generate_state(1)[0]
             )
-            estimator = _build_estimator(
-                task["estimator"], w, cfg, seed=est_seed, budget=task["budget"]
-            )
+            estimator = _build_estimator(task["estimator"], w, cfg, seed=est_seed)
             preds = refine_iterative(perturbed, estimator, stages)
             gts = true_edges(perturbed)
             per_frame_preds.append(preds)
@@ -306,11 +304,13 @@ def _rows_to_records(rows: list[dict], aggregated_only: bool) -> list[ErrorRecor
     return records
 
 
+_PREDICTIONS_HEADER = "run,frame,pair," + ",".join(
+    f"{side}_{c}" for side in ("pred", "gt") for c in ("qw", "qx", "qy", "qz", "tx", "ty", "tz")
+)
+
+
 def _predictions_csv(rows: list[dict]) -> str:
-    header = "run,frame,pair," + ",".join(
-        f"{side}_{c}" for side in ("pred", "gt") for c in ("qw", "qx", "qy", "qz", "tx", "ty", "tz")
-    )
-    lines = [header]
+    lines = [_PREDICTIONS_HEADER]
     for row in rows:
         values = [f"{v:.17g}" for v in row["pred"] + row["gt"]]
         lines.append(f"{row['run']},{row['frame']},{row['pair']}," + ",".join(values))
@@ -371,22 +371,46 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _prediction_row(where: str, line: str) -> dict:
+    parts = line.split(",")
+    if len(parts) != 17:
+        raise ParseError(f"{where}: {len(parts)} fields, expected 17")
+    try:
+        run, frame = int(parts[0]), int(parts[1])
+    except ValueError:
+        raise ParseError(f"{where}: run and frame must be integers") from None
+    if parts[2] not in PAIR_NAMES:
+        raise ParseError(f"{where}: unknown pair {parts[2]!r}")
+    try:
+        values = [float(v) for v in parts[3:]]
+    except ValueError:
+        raise ParseError(f"{where}: pose values must be numbers") from None
+    if not all(math.isfinite(v) for v in values):
+        raise ParseError(f"{where}: pose values must be finite")
+    row = {"run": run, "frame": frame, "pair": parts[2], "pred": values[:7], "gt": values[7:]}
+    for side in ("pred", "gt"):
+        try:
+            RigidTransform(q=np.array(row[side][:4]), t=np.array(row[side][4:]))
+        except ValueError as exc:  # a zero quaternion
+            raise ParseError(f"{where}: {side} pose: {exc}") from None
+    return row
+
+
+def _read_predictions(path: Path) -> list[dict]:
+    """Rows of a predictions.csv; a malformed line raises ParseError naming it."""
+    try:
+        lines = path.read_text(encoding="ascii").splitlines()
+    except UnicodeDecodeError:
+        raise ParseError(f"{path}: not an ASCII CSV file") from None
+    if not lines or lines[0] != _PREDICTIONS_HEADER:
+        raise ParseError(f"{path}:1: expected the predictions.csv header")
+    return [_prediction_row(f"{path}:{n}", line) for n, line in enumerate(lines[1:], start=2)]
+
+
 def cmd_evaluate(args: argparse.Namespace) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    rows = []
-    lines = Path(args.pred).read_text(encoding="ascii").splitlines()
-    for line in lines[1:]:
-        parts = line.split(",")
-        rows.append(
-            {
-                "run": int(parts[0]),
-                "frame": int(parts[1]),
-                "pair": parts[2],
-                "pred": [float(v) for v in parts[3:10]],
-                "gt": [float(v) for v in parts[10:17]],
-            }
-        )
+    rows = _read_predictions(Path(args.pred))
     aggregated = [r for r in rows if r["frame"] == -1]
     records = _rows_to_records(rows, aggregated_only=bool(aggregated))
     by_pair = summarize_by_pair(records)

@@ -95,4 +95,3 @@ class FrameSet:
     fixed_radar_cam: RigidTransform
     lidar_mis: RigidTransform = field(default_factory=_identity)
     radar_mis: RigidTransform = field(default_factory=_identity)
-    radar_accum_count: int = 1

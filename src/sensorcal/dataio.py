@@ -9,6 +9,7 @@ simple primitives to produce frames for desk-scale validation.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
@@ -395,15 +396,30 @@ def write_pgm(channel: np.ndarray, path, max_value: float) -> None:
     Path(path).write_bytes(header + data.tobytes())
 
 
+# Magic number, then width, height and maxval, each after whitespace or
+# '#' comments (which run to the end of the line), then one whitespace byte.
+_PGM_HEADER = re.compile(rb"P5" + rb"(?:\s|#[^\r\n]*)+(\d+)" * 3 + rb"\s")
+
+
 def read_pgm(path) -> np.ndarray:
-    """Read a binary 16-bit PGM back into a float array scaled to [0, 1]."""
+    """Read a binary (P5) PGM back into a float array scaled to [0, 1]."""
     blob = Path(path).read_bytes()
-    parts = blob.split(b"\n", 3)
-    if parts[0] != b"P5":
+    if not blob.startswith(b"P5"):
         raise ParseError(f"{path}: not a binary PGM")
-    width, height = (int(v) for v in parts[1].split())
-    maxval = int(parts[2])
-    data = np.frombuffer(parts[3], dtype=">u2" if maxval > 255 else "u1", count=width * height)
+    header = _PGM_HEADER.match(blob)
+    if header is None:
+        raise ParseError(f"{path}: malformed PGM header")
+    width, height, maxval = (int(v) for v in header.groups())
+    if width < 1 or height < 1 or not 1 <= maxval <= 65535:
+        raise ParseError(f"{path}: bad PGM size {width}x{height} or maxval {maxval}")
+    dtype = np.dtype(">u2" if maxval > 255 else "u1")
+    raster = blob[header.end():]
+    if len(raster) < width * height * dtype.itemsize:
+        raise ParseError(
+            f"{path}: raster has {len(raster)} bytes, "
+            f"{width}x{height} at maxval {maxval} needs {width * height * dtype.itemsize}"
+        )
+    data = np.frombuffer(raster, dtype=dtype, count=width * height)
     return data.reshape(height, width).astype(float) / maxval
 
 
@@ -447,7 +463,6 @@ def load_frame(
     camera: ProjectionConfig,
     depth_scale: float = 80.0,
     index: int = 0,
-    radar_accum_count: int = 1,
 ) -> FrameSet:
     """Inverse of save_frame given the camera config from the manifest."""
     frame_dir = Path(frame_dir)
@@ -468,5 +483,4 @@ def load_frame(
         fixed_radar_cam=calib["radar_cam"],
         lidar_mis=mis["lidar_mis"],
         radar_mis=mis["radar_mis"],
-        radar_accum_count=radar_accum_count,
     )

@@ -28,12 +28,14 @@ from .projection import (
     unproject_equirect,
     unproject_pinhole,
 )
+# from_euler is not called here any more, but bench/tracing.py wraps the
+# module attribute sensorcal.estimate.from_euler, so the name stays.
 from .transform import (
-    EulerPose,
     RigidTransform,
     apply,
     compose,
     from_euler,
+    from_euler_vector,
     invert,
     to_euler,
     transform_points,
@@ -240,7 +242,7 @@ def estimate_pairwise(
     returned transform never costs more than the identity candidate.
     """
     def fine_cost(x: np.ndarray) -> float:
-        return alignment_cost(source, from_euler(EulerPose.from_array(x)), target, cfg)
+        return alignment_cost(source, from_euler_vector(x), target, cfg)
 
     box = _bounds_vector(stage.bounds)
     rng = np.random.default_rng(seed)
@@ -251,7 +253,7 @@ def estimate_pairwise(
     bare = source.without_channels()
 
     def coarse_cost(x: np.ndarray) -> float:
-        return alignment_cost(bare, from_euler(EulerPose.from_array(x)), coarse_target, coarse_cfg)
+        return alignment_cost(bare, from_euler_vector(x), coarse_target, coarse_cfg)
 
     coarse_budget = max(stage.budget * 3 // 5, 1)
     x_coarse, _ = _multistart(coarse_cost, box, coarse_budget, stage.tolerance, n_starts, rng)
@@ -267,7 +269,7 @@ def estimate_pairwise(
     f_best, _, x_best = min(candidates, key=lambda c: (c[0], c[1]))
     if not math.isfinite(f_best):
         raise NoOverlapError("no candidate produced enough raster overlap")
-    return from_euler(EulerPose.from_array(x_best))
+    return from_euler_vector(x_best)
 
 
 # --- frame-level estimation ---------------------------------------------------
@@ -313,17 +315,21 @@ class _EdgeProblem:
     box: np.ndarray
 
     def cost(self, x: np.ndarray) -> float:
-        candidate = from_euler(EulerPose.from_array(x))
+        return self.residual_cost(from_euler_vector(x))
+
+    def residual_cost(self, residual: RigidTransform) -> float:
         total = 0.0
         for source, target in zip(self.sources, self.targets):
-            c = alignment_cost(source, candidate, target, self.cfg)
+            c = alignment_cost(source, residual, target, self.cfg)
             if not math.isfinite(c):
                 return math.inf
             total += c
         return total / len(self.sources)
 
     def edge(self, x: np.ndarray) -> RigidTransform:
-        residual = from_euler(EulerPose.from_array(x))
+        return self.residual_edge(from_euler_vector(x))
+
+    def residual_edge(self, residual: RigidTransform) -> RigidTransform:
         if self.name == "radar_cam":
             # solved in the cam<-radar direction, so report the inverse edge
             return compose(invert(residual), invert(self.nominal))
@@ -459,14 +465,17 @@ def estimate_multiframe(
         return {p.name: x[6 * i : 6 * i + 6] for i, p in enumerate(problems)}
 
     def joint_cost(x: np.ndarray) -> float:
-        parts = split(x)
+        # one candidate per edge serves both its alignment cost and the loop
         total = 0.0
-        for problem in problems:
-            c = problem.cost(parts[problem.name])
+        preds = PredictionSet()
+        for i, problem in enumerate(problems):
+            residual = from_euler_vector(x[6 * i : 6 * i + 6])
+            c = problem.residual_cost(residual)
             if not math.isfinite(c):
                 return math.inf
             total += c
-        loop = loop_transform(_predictions(problems, parts))
+            preds = preds.with_pair(problem.name, problem.residual_edge(residual))
+        loop = loop_transform(preds)
         return (1.0 - w.loop_weight) * total + w.loop_weight * param_loss(loop, identity, w)
 
     # Loop-consistent variants of the pairwise init: replace one radar edge

@@ -9,7 +9,7 @@ import numpy as np
 
 from .data import FrameSet, PointCloud
 from .errors import EmptyListError, LengthMismatchError, MissingPairError, NoOverlapError
-from .estimate import Estimator, EstimatorStage, estimate_multiframe
+from .estimate import Estimator, EstimatorStage
 from .loss import PAIR_NAMES, PredictionSet
 from .perturb import ScenarioPreset, apply_miscalibration
 from .transform import RigidTransform, apply, compose, invert
@@ -18,7 +18,6 @@ __all__ = [
     "RefinementResult",
     "accumulate_radar",
     "aggregate_sequence",
-    "estimate_multiframe",
     "refine_iterative",
     "refine_iterative_detailed",
     "refine_multiframe",

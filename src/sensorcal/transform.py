@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -26,6 +27,7 @@ __all__ = [
     "apply",
     "compose",
     "from_euler",
+    "from_euler_vector",
     "invert",
     "quat_angular_distance",
     "to_euler",
@@ -62,6 +64,16 @@ class EulerPose:
         return cls(roll=v[0], pitch=v[1], yaw=v[2], tx=v[3], ty=v[4], tz=v[5])
 
 
+def _unit_quat(q: np.ndarray) -> np.ndarray:
+    """q normalised and sign-canonicalised, read-only."""
+    norm = math.sqrt(float(q @ q))
+    if norm < 1e-12:
+        raise ValueError("quaternion norm is zero")
+    q = _canonical_sign(q / norm)
+    q.setflags(write=False)
+    return q
+
+
 def _canonical_sign(q: np.ndarray) -> np.ndarray:
     # w >= 0; for w == 0 the first nonzero vector component is made positive
     # so equal rotations always compare equal component-wise.
@@ -84,16 +96,19 @@ class RigidTransform:
     def __post_init__(self) -> None:
         q = np.array(self.q, dtype=float).reshape(4)
         t = np.array(self.t, dtype=float).reshape(3)
-        if not np.all(np.isfinite(q)) or not np.all(np.isfinite(t)):
+        if not all(map(math.isfinite, q.tolist() + t.tolist())):
             raise ValueError("RigidTransform components must be finite")
-        norm = math.sqrt(float(q @ q))
-        if norm < 1e-12:
-            raise ValueError("quaternion norm is zero")
-        q = _canonical_sign(q / norm)
-        q.setflags(write=False)
         t.setflags(write=False)
-        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "q", _unit_quat(q))
         object.__setattr__(self, "t", t)
+
+    @classmethod
+    def _from_valid(cls, q: np.ndarray, t: np.ndarray) -> "RigidTransform":
+        """Skips __post_init__: q is already unit and canonical, t finite, both read-only."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "q", q)
+        object.__setattr__(out, "t", t)
+        return out
 
     @classmethod
     def identity(cls) -> "RigidTransform":
@@ -115,26 +130,34 @@ class RigidTransform:
             raise ValueError(f"expected 3x4 or 4x4 matrix, got shape {m.shape}")
         return cls(q=_quat_from_rotation_matrix(r), t=t)
 
-    def rotation_matrix(self) -> np.ndarray:
-        w, x, y, z = self.q
-        return np.array(
+    @cached_property
+    def _rotation(self) -> np.ndarray:
+        # Built once per transform and shared read-only by the library.
+        w, x, y, z = self.q.tolist()
+        r = np.array(
             [
-                [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-                [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-                [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
+                1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y),
+                2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x),
+                2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y),
             ]
-        )
+        ).reshape(3, 3)
+        r.setflags(write=False)
+        return r
+
+    def rotation_matrix(self) -> np.ndarray:
+        return self._rotation.copy()
 
     def matrix(self) -> np.ndarray:
         m = np.eye(4)
-        m[:3, :3] = self.rotation_matrix()
+        m[:3, :3] = self._rotation
         m[:3, 3] = self.t
         return m
 
 
 def _quat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    w1, x1, y1, z1 = a
-    w2, x2, y2, z2 = b
+    # Python floats: the same IEEE products and sums as numpy scalars, faster
+    w1, x1, y1, z1 = a.tolist()
+    w2, x2, y2, z2 = b.tolist()
     return np.array(
         [
             w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
@@ -193,20 +216,20 @@ def _quat_from_rotation_matrix(r: np.ndarray) -> np.ndarray:
 def compose(a: RigidTransform, b: RigidTransform) -> RigidTransform:
     """Composition a then-applied-after b: result.matrix() == a.matrix() @ b.matrix()."""
     q = _quat_mul(a.q, b.q)
-    t = a.rotation_matrix() @ b.t + a.t
+    t = a._rotation @ b.t + a.t
     return RigidTransform(q=q, t=t)
 
 
 def invert(a: RigidTransform) -> RigidTransform:
     q_inv = np.array([a.q[0], -a.q[1], -a.q[2], -a.q[3]])
-    t_inv = -(a.rotation_matrix().T @ a.t)
+    t_inv = -(a._rotation.T @ a.t)
     return RigidTransform(q=q_inv, t=t_inv)
 
 
 def transform_points(a: RigidTransform, xyz: np.ndarray) -> np.ndarray:
     """Apply the rigid motion to an (N, 3) array of points."""
     xyz = np.asarray(xyz, dtype=float)
-    return xyz @ a.rotation_matrix().T + a.t
+    return xyz @ a._rotation.T + a.t
 
 
 def apply(a: RigidTransform, pts: "PointCloud") -> "PointCloud":
@@ -214,19 +237,38 @@ def apply(a: RigidTransform, pts: "PointCloud") -> "PointCloud":
     return replace(pts, xyz=transform_points(a, pts.xyz))
 
 
-def from_euler(e: EulerPose) -> RigidTransform:
-    """Rotation Rz(yaw) @ Ry(pitch) @ Rx(roll), translation copied."""
-    half_r, half_p, half_y = 0.5 * e.roll, 0.5 * e.pitch, 0.5 * e.yaw
+def _euler_quat(roll: float, pitch: float, yaw: float) -> np.ndarray:
+    half_r, half_p, half_y = 0.5 * roll, 0.5 * pitch, 0.5 * yaw
     qx = np.array([math.cos(half_r), math.sin(half_r), 0.0, 0.0])
     qy = np.array([math.cos(half_p), 0.0, math.sin(half_p), 0.0])
     qz = np.array([math.cos(half_y), 0.0, 0.0, math.sin(half_y)])
-    q = _quat_mul(qz, _quat_mul(qy, qx))
+    return _quat_mul(qz, _quat_mul(qy, qx))
+
+
+def from_euler(e: EulerPose) -> RigidTransform:
+    """Rotation Rz(yaw) @ Ry(pitch) @ Rx(roll), translation copied."""
+    q = _euler_quat(e.roll, e.pitch, e.yaw)
     return RigidTransform(q=q, t=np.array([e.tx, e.ty, e.tz], dtype=float))
+
+
+def from_euler_vector(x) -> RigidTransform:
+    """``from_euler(EulerPose.from_array(x))`` without the dataclass round trips.
+
+    The optimizers call this once per candidate.  It runs the same quaternion
+    arithmetic, normalisation and sign canonicalisation as the slow path, so
+    q, t and the rotation matrix are bit-identical to it.
+    """
+    values = np.asarray(x, dtype=float).reshape(6).tolist()
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"EulerPose components must be finite, got {tuple(values)}")
+    t = np.array(values[3:])
+    t.setflags(write=False)
+    return RigidTransform._from_valid(_unit_quat(_euler_quat(*values[:3])), t)
 
 
 def to_euler(a: RigidTransform) -> EulerPose:
     """Inverse of from_euler; pitch is clamped at the +-pi/2 gimbal points."""
-    r = a.rotation_matrix()
+    r = a._rotation
     sin_pitch = max(-1.0, min(1.0, -r[2, 0]))
     pitch = math.asin(sin_pitch)
     if abs(sin_pitch) < 1.0 - 1e-12:

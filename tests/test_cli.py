@@ -243,3 +243,46 @@ def test_cli_predictions_equal_direct_library_calls(frames_dir, tmp_path):
         assert (int(parts[1]), parts[2]) == (idx, name)
         stored = np.array([float(v) for v in parts[3:10]])
         assert np.array_equal(stored, np.concatenate([value.q, value.t]))
+
+
+def _identity_predictions(frames_dir, tmp_path) -> Path:
+    cal = tmp_path / "cal"
+    assert main(
+        [
+            "calibrate", "--frames", str(frames_dir), "--out", str(cal),
+            "--scenario", "small", "--estimator", "identity", "--runs", "1", "--seed", "5",
+        ]
+    ) == 0
+    return cal / "predictions.csv"
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (lambda row: ",".join(row.split(",")[:5]), "5 fields, expected 17"),
+        (lambda row: "x" + row, "run and frame must be integers"),
+        (lambda row: ",".join(row.split(",")[:2] + ["cam_sonar"] + row.split(",")[3:]),
+         "unknown pair 'cam_sonar'"),
+        (lambda row: row.rsplit(",", 1)[0] + ",abc", "pose values must be numbers"),
+        (lambda row: row.rsplit(",", 1)[0] + ",nan", "pose values must be finite"),
+        (lambda row: ",".join(row.split(",")[:3] + ["0"] * 4 + row.split(",")[7:]),
+         "pred pose: quaternion norm is zero"),
+    ],
+)
+def test_evaluate_malformed_row_is_diagnosed(frames_dir, tmp_path, capsys, mutate, message):
+    lines = _identity_predictions(frames_dir, tmp_path).read_text().splitlines()
+    lines[2] = mutate(lines[2])
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["evaluate", "--pred", str(bad), "--out", str(tmp_path / "eval")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{bad}:3: {message}" in err
+
+
+@pytest.mark.parametrize("content", [b"", b"run,frame\n", b"\xff\xfe\n"])
+def test_evaluate_rejects_a_file_that_is_not_predictions(tmp_path, capsys, content):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(content)
+    assert main(["evaluate", "--pred", str(bad), "--out", str(tmp_path / "eval")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {bad}")

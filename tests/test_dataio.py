@@ -173,6 +173,56 @@ def test_pgm_roundtrip(tmp_path):
     assert np.max(np.abs(back - img)) <= 80.0 / 65535.0 + 1e-9
 
 
+def test_pgm_written_file_reads_back_exactly(tmp_path):
+    rng = np.random.default_rng(44)
+    img = rng.uniform(-5, 90, (24, 40))
+    path = tmp_path / "depth.pgm"
+    write_pgm(img, path, max_value=80.0)
+    codes = np.round(np.clip(img / 80.0, 0.0, 1.0) * 65535.0)
+    assert np.array_equal(read_pgm(path), codes / 65535.0)
+
+
+@pytest.mark.parametrize(
+    "header",
+    [
+        b"P5 2 2 255\n",
+        b"P5\n# written by hand\n2 2\n# maxval next\n255\n",
+        b"P5#comment right after the magic\n2\t2\r\n255 ",
+        b"P5\n2 # width\n2 # height\n255\r",
+    ],
+)
+def test_pgm_netpbm_headers(tmp_path, header):
+    # the raster starts with whitespace byte values: only one header byte may go
+    path = tmp_path / "hand.pgm"
+    path.write_bytes(header + bytes([10, 32, 35, 255]))
+    assert np.array_equal(read_pgm(path), np.array([[10, 32], [35, 255]]) / 255.0)
+
+
+def test_pgm_16_bit_with_comment(tmp_path):
+    path = tmp_path / "wide.pgm"
+    path.write_bytes(b"P5\n# 16 bit\n3 1\n1000\n" + np.array([0, 500, 1000], ">u2").tobytes())
+    assert np.array_equal(read_pgm(path), np.array([[0.0, 0.5, 1.0]]))
+
+
+@pytest.mark.parametrize(
+    "blob, message",
+    [
+        (b"P2\n2 2\n255\n0 1 2 3", "not a binary PGM"),
+        (b"P5\n2 2\n", "malformed PGM header"),
+        (b"P5\n2 x 255\n\0\0\0\0", "malformed PGM header"),
+        (b"P5\n2 2\n0\n\0\0\0\0", "maxval 0"),
+        (b"P5\n2 2\n70000\n" + bytes(8), "maxval 70000"),
+        (b"P5\n2 2\n255\n\0\0\0", "raster has 3 bytes"),
+        (b"P5\n2 2\n65535\n" + bytes(7), "raster has 7 bytes"),
+    ],
+)
+def test_pgm_malformed_files_raise_parse_error(tmp_path, blob, message):
+    path = tmp_path / "bad.pgm"
+    path.write_bytes(blob)
+    with pytest.raises(ParseError, match=message):
+        read_pgm(path)
+
+
 def test_frame_roundtrip(tmp_path):
     poses = default_sensor_poses()
     frame = generate_scene(random_scene_spec(seed=8, lidar_density=800, radar_density=120), poses)

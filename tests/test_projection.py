@@ -2,12 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from sensorcal.data import PointCloud
 from sensorcal.errors import SchemaMismatchError
 from sensorcal.projection import (
     ProjectionConfig,
     SphericalCoord,
+    _ranges,
+    _winner_positions,
     cart_to_spherical,
     equirect_pixel,
     equirect_range_pixels,
@@ -136,6 +141,87 @@ def test_sparse_range_pixels_match_raster():
     flat = img[..., 0].reshape(-1)
     assert np.array_equal(np.sort(pix), np.sort(np.flatnonzero(flat)))
     assert np.array_equal(flat[pix], ranges)
+
+
+def lexsort_range_pixels(xyz, cfg):
+    """Reference reduction: range by np.linalg.norm, the plain pixel formula,
+    and the 3-key (pixel, float64 range, point index) lexsort."""
+    xyz = np.asarray(xyz, dtype=float)
+    r = np.linalg.norm(xyz, axis=1)
+    keep = r > 0.0
+    xyz, r = xyz[keep], r[keep]
+    theta = np.arctan2(xyz[:, 1], xyz[:, 0])
+    phi = np.arcsin(np.clip(xyz[:, 2] / np.where(r > 0, r, 1.0), -1.0, 1.0))
+    u = np.floor((theta + np.pi) / (2.0 * np.pi) * cfg.width).astype(np.int64) % cfg.width
+    v = np.floor((1.0 - (phi + 0.5 * np.pi) / np.pi) * cfg.height).astype(np.int64)
+    pix = np.clip(v, 0, cfg.height - 1) * cfg.width + u
+    winners = _winner_positions(pix, r, np.flatnonzero(keep))
+    return pix[winners], r[winners].astype(np.float32)
+
+
+def assert_same_range_pixels(xyz, cfg):
+    pix, ranges = equirect_range_pixels(xyz, cfg)
+    ref_pix, ref_ranges = lexsort_range_pixels(xyz, cfg)
+    assert pix.dtype == ref_pix.dtype and ranges.dtype == ref_ranges.dtype
+    assert pix.tobytes() == ref_pix.tobytes()
+    assert ranges.tobytes() == ref_ranges.tobytes()
+
+
+_coords = st.floats(-50.0, 50.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def collision_clouds(draw):
+    """Random points plus exact duplicates (range ties), copies scaled by
+    1 + 2**-40 (equal float32 but distinct float64 ranges), zero-range
+    points and points on the +-pi azimuth seam, in random order."""
+    base = draw(arrays(np.float64, (draw(st.integers(0, 40)), 3), elements=_coords))
+    parts = [base]
+    if len(base):
+        picks = draw(st.lists(st.integers(0, len(base) - 1), max_size=12))
+        parts += [base[picks], base[picks] * (1.0 + 2.0**-40)]
+    parts.append(np.zeros((draw(st.integers(0, 3)), 3)))
+    seam = draw(arrays(np.float64, (draw(st.integers(0, 6)), 2), elements=st.floats(0.5, 50.0)))
+    zero_y = draw(st.sampled_from([0.0, -0.0]))
+    parts.append(np.stack([-seam[:, 0], np.full(len(seam), zero_y), seam[:, 1]], axis=1))
+    xyz = np.concatenate(parts)
+    order = draw(st.permutations(range(len(xyz))))
+    return xyz[list(order)]
+
+
+@given(
+    xyz=collision_clouds(),
+    width=st.integers(1, 48),
+    height=st.integers(1, 24),
+)
+def test_range_pixels_equal_lexsort_reference(xyz, width, height):
+    assert_same_range_pixels(xyz, ProjectionConfig.equirect(width, height))
+
+
+@given(arrays(np.float64, st.tuples(st.integers(0, 64), st.just(3)), elements=_coords))
+def test_ranges_equal_linalg_norm(xyz):
+    assert _ranges(xyz).tobytes() == np.linalg.norm(xyz, axis=1).tobytes()
+
+
+def test_range_pixels_equal_lexsort_reference_at_cost_resolution():
+    rng = np.random.default_rng(24)
+    cfg = ProjectionConfig.equirect(1536, 768)
+    for n in (0, 1, 400, 5000):
+        xyz = rng.normal(0.0, 15.0, (n, 3))
+        xyz[: n // 10] = 0.0
+        assert_same_range_pixels(xyz, cfg)
+        assert _ranges(xyz).tobytes() == np.linalg.norm(xyz, axis=1).tobytes()
+
+
+def test_range_pixels_reject_rasters_of_2_pow_32_pixels():
+    pole = np.array([[0.0, 0.0, -1.0]])
+    with pytest.raises(ValueError, match="2\\*\\*32"):
+        equirect_range_pixels(pole, ProjectionConfig.equirect(2**16, 2**16))
+    # one pixel fewer still fits: the pole lands in the last row, whose ids
+    # need all 32 bits of the key's high word
+    cfg = ProjectionConfig.equirect(65537, 65535)
+    assert_same_range_pixels(pole, cfg)
+    assert equirect_range_pixels(pole, cfg)[0][0] >= 2**31
 
 
 def test_full_sphere_coverage_vs_pinhole():

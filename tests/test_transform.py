@@ -1,7 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sensorcal.transform import (
     EulerPose,
@@ -9,6 +12,7 @@ from sensorcal.transform import (
     apply,
     compose,
     from_euler,
+    from_euler_vector,
     invert,
     quat_angular_distance,
     to_euler,
@@ -192,3 +196,66 @@ def test_invalid_quaternion_rejected():
         RigidTransform(q=np.zeros(4), t=np.zeros(3))
     with pytest.raises(ValueError):
         RigidTransform(q=np.array([np.nan, 0, 0, 0]), t=np.zeros(3))
+
+
+# signed zeros, gimbal lock, the yaw seam, and angles past +-pi (negative cosines)
+_SPECIAL_ANGLES = [
+    0.0, -0.0, 1e-300, -1e-300, math.pi / 2, -math.pi / 2,
+    math.pi, -math.pi, 3.5, -3.5, 2 * math.pi, -2 * math.pi,
+]
+_angles = st.floats(-4.0, 4.0, allow_nan=False) | st.sampled_from(_SPECIAL_ANGLES)
+_translations = st.floats(-10.0, 10.0, allow_nan=False) | st.sampled_from([0.0, -0.0])
+_vectors = st.tuples(_angles, _angles, _angles, _translations, _translations, _translations)
+
+
+def assert_bit_identical(a, b):
+    assert a.q.tobytes() == b.q.tobytes()
+    assert a.t.tobytes() == b.t.tobytes()
+    assert a.rotation_matrix().tobytes() == b.rotation_matrix().tobytes()
+
+
+@given(_vectors)
+def test_from_euler_vector_bit_identical_to_from_euler(v):
+    x = np.array(v)
+    assert_bit_identical(from_euler_vector(x), from_euler(EulerPose.from_array(x)))
+
+
+@given(
+    pitch=st.sampled_from([math.pi / 2, -math.pi / 2]),
+    yaw=st.sampled_from([math.pi, -math.pi]),
+    roll=_angles,
+)
+def test_from_euler_vector_bit_identical_at_gimbal_lock_and_seam(pitch, yaw, roll):
+    for x in ([roll, pitch, yaw, 0.0, 0.0, 0.0], [roll, pitch, 0.0, 1.0, -2.0, 3.0],
+              [roll, 0.0, yaw, 0.0, 0.0, 0.0]):
+        x = np.array(x)
+        assert_bit_identical(from_euler_vector(x), from_euler(EulerPose.from_array(x)))
+
+
+def test_from_euler_vector_bit_identical_on_special_angle_grid():
+    for angles in itertools.product(_SPECIAL_ANGLES, repeat=3):
+        x = np.array([*angles, -0.0, 0.0, 1.0])
+        assert_bit_identical(from_euler_vector(x), from_euler(EulerPose.from_array(x)))
+
+
+@given(st.integers(0, 5), st.sampled_from([math.nan, math.inf, -math.inf]))
+def test_from_euler_vector_rejects_non_finite(i, bad):
+    x = np.zeros(6)
+    x[i] = bad
+    with pytest.raises(ValueError, match="finite"):
+        from_euler_vector(x)
+
+
+def test_rotation_matrix_copy_is_the_callers():
+    rng = np.random.default_rng(18)
+    pts = rng.uniform(-10, 10, (20, 3))
+    x = np.array([0.3, -0.2, 0.9, 1.0, 2.0, 3.0])
+    for a in (from_euler_vector(x), from_euler(EulerPose.from_array(x))):
+        before_r, before_m = a.rotation_matrix(), a.matrix()
+        before_pts = transform_points(a, pts)
+        r = a.rotation_matrix()
+        r[:] = 0.0
+        assert np.array_equal(a.rotation_matrix(), before_r)
+        assert np.array_equal(a.matrix(), before_m)
+        assert np.array_equal(transform_points(a, pts), before_pts)
+        assert not a.q.flags.writeable and not a.t.flags.writeable
