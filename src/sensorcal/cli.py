@@ -317,7 +317,26 @@ def _predictions_csv(rows: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _calibrate_arg_error(args: argparse.Namespace) -> str | None:
+    """The first out-of-range number among the calibrate options, if any."""
+    for flag, value in (
+        ("--budget", args.budget),
+        ("--runs", args.runs),
+        ("--multiframe", args.multiframe),
+        ("--jobs", args.jobs),
+    ):
+        if value is not None and value < 1:
+            return f"{flag} must be >= 1, got {value}"
+    if not 0.0 <= args.loop_weight <= 1.0:
+        return f"--loop-weight must be in [0, 1], got {args.loop_weight}"
+    return None
+
+
 def cmd_calibrate(args: argparse.Namespace) -> int:
+    problem = _calibrate_arg_error(args)
+    if problem is not None:
+        print(f"error: {problem}", file=sys.stderr)
+        return 2
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     preset_name, rigid = _SCENARIOS[args.scenario]

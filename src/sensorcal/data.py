@@ -18,11 +18,12 @@ LIDAR_CHANNELS = ("intensity",)
 RADAR_CHANNELS = ("rcs", "velocity", "time")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PointCloud:
     """N points of (x, y, z) in meters plus named per-point channels.
 
     xyz is (N, 3) and channels is (N, len(schema)); rows correspond.
+    Clouds compare by identity.
     """
 
     xyz: np.ndarray
@@ -74,7 +75,7 @@ def _identity() -> RigidTransform:
     return RigidTransform.identity()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FrameSet:
     """One synchronized multi-sensor frame.
 
@@ -82,7 +83,7 @@ class FrameSet:
     calibrations (cam<-lidar, lidar<-radar, radar<-cam as point maps); they
     always compose to the identity around the loop.  lidar_mis / radar_mis
     record the miscalibration currently applied to the stored clouds
-    (identity when the frame is clean).
+    (identity when the frame is clean).  Frames compare by identity.
     """
 
     index: int

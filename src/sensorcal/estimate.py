@@ -122,7 +122,10 @@ def alignment_cost(
     n_overlap = int(np.count_nonzero(both))
     if n_overlap < cfg.min_overlap:
         return math.inf
-    cost = float(np.mean(np.abs(src_r[both] - tgt_r[both])))
+    # np.mean's own arithmetic without its wrapper: a float32 sum divided by
+    # an intp count, rounded back to float32
+    diff = np.abs(np.subtract(src_r, tgt_r, out=tgt_r), out=tgt_r)[both]
+    cost = float(np.float32(np.add.reduce(diff) / np.intp(n_overlap)))
     cost += cfg.occupancy_penalty * (pix.size - n_overlap) / pix.size
     return cost
 

@@ -143,8 +143,7 @@ def _winner_positions(pix: np.ndarray, r: np.ndarray, index: np.ndarray) -> np.n
 
 
 def _rasterize(
-    u: np.ndarray,
-    v: np.ndarray,
+    pix: np.ndarray,
     r: np.ndarray,
     channels: np.ndarray,
     index: np.ndarray,
@@ -155,7 +154,6 @@ def _rasterize(
     if r.size == 0:
         return img
     values = np.concatenate([r[:, None], channels], axis=1).astype(np.float32)
-    pix = v * cfg.width + u
     winners = _winner_positions(pix, r, index)
     img.reshape(-1, len(cfg.channels))[pix[winners]] = values[winners]
     return img
@@ -165,25 +163,49 @@ def _ranges(xyz: np.ndarray) -> np.ndarray:
     """Row norms of an (N, 3) array, bit-identical to ``np.linalg.norm(xyz, axis=1)``.
 
     The squares are summed in the order numpy's reduction uses,
-    (x*x + y*y) + z*z, without the cost of a reduction over a length-3 axis.
+    (x*x + y*y) + z*z, without the cost of a reduction over a length-3 axis
+    or an (N, 3) temporary.
     """
-    sq = xyz * xyz
-    return np.sqrt(sq[:, 0] + sq[:, 1] + sq[:, 2])
+    r = xyz[:, 0] * xyz[:, 0]
+    sq = xyz[:, 1] * xyz[:, 1]
+    r += sq
+    np.multiply(xyz[:, 2], xyz[:, 2], out=sq)
+    r += sq
+    return np.sqrt(r, out=r)
 
 
-def _equirect_uv(
-    xyz: np.ndarray, r: np.ndarray, cfg: ProjectionConfig
-) -> tuple[np.ndarray, np.ndarray]:
-    """Pixel column and row of points with ranges r, all of them > 0.
+def _equirect_pix(
+    x: np.ndarray, y: np.ndarray, z: np.ndarray, r: np.ndarray, cfg: ProjectionConfig
+) -> np.ndarray:
+    """Flat pixel ids, as integer-valued float64, of points with ranges r > 0.
 
-    The clips are minimum/maximum pairs: the same values as np.clip, with
-    less call overhead.
+    The arithmetic of ``equirect_pixel`` done in place on whole columns.  The
+    floored column lies in [0, W] and reaches W only at azimuth +pi, so the
+    seam wrap is that one value mapped to 0.  A non-finite coordinate can
+    make the elevation NaN; fmax sends its row to 0, as the clamp of an
+    integer row (NaN cast to the smallest int64) did.  Ids stay far below
+    2**53, so the float64 sum is exact.
     """
-    theta = np.arctan2(xyz[:, 1], xyz[:, 0])
-    phi = np.arcsin(np.minimum(np.maximum(xyz[:, 2] / r, -1.0), 1.0))
-    u = np.floor((theta + np.pi) / (2.0 * np.pi) * cfg.width).astype(np.int64) % cfg.width
-    v = np.floor((1.0 - (phi + 0.5 * np.pi) / np.pi) * cfg.height).astype(np.int64)
-    return u, np.minimum(np.maximum(v, 0), cfg.height - 1)
+    u = np.arctan2(y, x)
+    u += np.pi
+    u /= 2.0 * np.pi
+    u *= cfg.width
+    np.floor(u, out=u)
+    u[u == cfg.width] = 0.0
+    v = np.divide(z, r)
+    np.maximum(v, -1.0, out=v)
+    np.minimum(v, 1.0, out=v)
+    np.arcsin(v, out=v)
+    v += 0.5 * np.pi
+    v /= np.pi
+    np.subtract(1.0, v, out=v)
+    v *= cfg.height
+    np.floor(v, out=v)
+    np.fmax(v, 0.0, out=v)
+    np.minimum(v, cfg.height - 1, out=v)
+    v *= cfg.width
+    v += u
+    return v
 
 
 def equirect_range_pixels(xyz: np.ndarray, cfg: ProjectionConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -206,28 +228,41 @@ def equirect_range_pixels(xyz: np.ndarray, cfg: ProjectionConfig) -> tuple[np.nd
             "too many for the packed sort key"
         )
     xyz = np.asarray(xyz, dtype=float)
+    x, y, z = xyz[:, 0], xyz[:, 1], xyz[:, 2]
     r = _ranges(xyz)
     keep = r > 0.0
     if np.count_nonzero(keep) < keep.size:
-        xyz, r = xyz[keep], r[keep]
-    u, v = _equirect_uv(xyz, r, cfg)
-    pix = (v * cfg.width + u).astype(np.uint64)
-    key = (pix << np.uint64(32)) | r.astype(np.float32).view(np.uint32)
+        x, y, z, r = x[keep], y[keep], z[keep], r[keep]
+    key = _equirect_pix(x, y, z, r, cfg).astype(np.uint64)
+    key <<= np.uint64(32)
+    key |= r.astype(np.float32).view(np.uint32)
     key.sort()
-    pix = (key >> np.uint64(32)).astype(np.int64)
-    first = np.ones(key.size, dtype=bool)
-    first[1:] = pix[1:] != pix[:-1]
-    return pix[first], key[first].astype(np.uint32).view(np.float32)
+    pix = key >> np.uint64(32)
+    first = np.empty(key.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(pix[1:], pix[:-1], out=first[1:])
+    return pix[first].astype(np.int64), key[first].astype(np.uint32).view(np.float32)
 
 
 def project_equirect(cloud: PointCloud, cfg: ProjectionConfig) -> np.ndarray:
-    """Equirectangular depth image; every point with r > 0 lands in-bounds."""
+    """Equirectangular depth image; every point with r > 0 lands in-bounds.
+
+    A cloud without channels scatters ``equirect_range_pixels`` into the
+    raster: float32 rounding is monotonic, so the nearest float64 range
+    rounds to the smallest float32 range of its pixel.  Channels need the
+    point-index tie-break of ``_winner_positions``.
+    """
     _check_schema(cloud, cfg)
+    if not cloud.schema:
+        img = np.zeros((cfg.height, cfg.width, 1), dtype=np.float32)
+        pix, r = equirect_range_pixels(cloud.xyz, cfg)
+        img.reshape(-1)[pix] = r
+        return img
     r = _ranges(cloud.xyz)
     keep = r > 0.0
     xyz, r = cloud.xyz[keep], r[keep]
-    u, v = _equirect_uv(xyz, r, cfg)
-    return _rasterize(u, v, r, cloud.channels[keep], np.flatnonzero(keep), cfg)
+    pix = _equirect_pix(xyz[:, 0], xyz[:, 1], xyz[:, 2], r, cfg).astype(np.int64)
+    return _rasterize(pix, r, cloud.channels[keep], np.flatnonzero(keep), cfg)
 
 
 def project_pinhole(cloud: PointCloud, cfg: ProjectionConfig) -> np.ndarray:
@@ -246,7 +281,8 @@ def project_pinhole(cloud: PointCloud, cfg: ProjectionConfig) -> np.ndarray:
     index = np.flatnonzero(keep)[inside]
     xyz = xyz[inside]
     r = np.linalg.norm(xyz, axis=1)
-    return _rasterize(u[inside], v[inside], r, cloud.channels[index], index, cfg)
+    pix = v[inside] * cfg.width + u[inside]
+    return _rasterize(pix, r, cloud.channels[index], index, cfg)
 
 
 def unproject_pinhole(img: np.ndarray, cfg: ProjectionConfig) -> PointCloud:

@@ -86,9 +86,13 @@ def _canonical_sign(q: np.ndarray) -> np.ndarray:
     return q
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RigidTransform:
-    """SE(3) element as unit quaternion (w, x, y, z) plus translation."""
+    """SE(3) element as unit quaternion (w, x, y, z) plus translation.
+
+    Two transforms are equal when their (canonical) q and t hold equal
+    values; like the arrays they hold, transforms are unhashable.
+    """
 
     q: np.ndarray
     t: np.ndarray
@@ -101,6 +105,11 @@ class RigidTransform:
         t.setflags(write=False)
         object.__setattr__(self, "q", _unit_quat(q))
         object.__setattr__(self, "t", t)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, RigidTransform):
+            return NotImplemented
+        return bool(np.array_equal(self.q, other.q) and np.array_equal(self.t, other.t))
 
     @classmethod
     def _from_valid(cls, q: np.ndarray, t: np.ndarray) -> "RigidTransform":
@@ -227,14 +236,24 @@ def invert(a: RigidTransform) -> RigidTransform:
 
 
 def transform_points(a: RigidTransform, xyz: np.ndarray) -> np.ndarray:
-    """Apply the rigid motion to an (N, 3) array of points."""
+    """Apply the rigid motion to an (N, 3) array of points.
+
+    Bit-identical to ``xyz @ R.T + t``, but the transposed product avoids a
+    slow (N, 3) @ (3, 3) path of the BLAS.  The result is column-major
+    (Fortran-ordered), so each coordinate column is contiguous.
+    """
     xyz = np.asarray(xyz, dtype=float)
-    return xyz @ a._rotation.T + a.t
+    return (a._rotation @ xyz.T).T + a.t
 
 
 def apply(a: RigidTransform, pts: "PointCloud") -> "PointCloud":
-    """Transform the spatial coordinates of a cloud; channels pass through."""
-    return replace(pts, xyz=transform_points(a, pts.xyz))
+    """Transform the spatial coordinates of a cloud; channels pass through.
+
+    The stored coordinates are C-ordered: an (N, 3) @ (3,) product on an
+    F-ordered array can round differently, and clouds feed such products
+    (the frustum crop of the estimator).
+    """
+    return replace(pts, xyz=np.ascontiguousarray(transform_points(a, pts.xyz)))
 
 
 def _euler_quat(roll: float, pitch: float, yaw: float) -> np.ndarray:

@@ -186,6 +186,7 @@ def test_criterion_3_full_fov():
     assert ok and elapsed < 5.0
 
 
+@pytest.mark.slow
 def test_criterion_4_recovery_at_stage_scale():
     t0 = time.time()
     stage = EstimatorStage(bounds=SMALL, budget=1600)
@@ -214,6 +215,7 @@ def _edge_scalar(pred, gt):
     return param_loss(pred, gt, W)
 
 
+@pytest.mark.slow
 def test_criterion_5_iterative_refinement():
     t0 = time.time()
     stages = stages_from_preset(PRESETS["refine"], budget=1600)
@@ -253,6 +255,7 @@ def test_criterion_5_iterative_refinement():
     assert ok and elapsed < 1800.0
 
 
+@pytest.mark.slow
 def test_criterion_6_joint_vs_pairwise_direction():
     t0 = time.time()
     stage = EstimatorStage(bounds=SMALL, budget=1600)
@@ -282,6 +285,7 @@ def test_criterion_6_joint_vs_pairwise_direction():
     assert ok and elapsed < 1800.0
 
 
+@pytest.mark.slow
 def test_criterion_7_rigid_aggregation():
     t0 = time.time()
     stage = EstimatorStage(bounds=SMALL, budget=1600)

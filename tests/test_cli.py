@@ -286,3 +286,29 @@ def test_evaluate_rejects_a_file_that_is_not_predictions(tmp_path, capsys, conte
     bad.write_bytes(content)
     assert main(["evaluate", "--pred", str(bad), "--out", str(tmp_path / "eval")]) == 2
     assert capsys.readouterr().err.startswith(f"error: {bad}")
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--budget", "0", "--budget must be >= 1, got 0"),
+        ("--loop-weight", "2", "--loop-weight must be in [0, 1], got 2.0"),
+        ("--loop-weight", "-0.5", "--loop-weight must be in [0, 1], got -0.5"),
+        ("--loop-weight", "nan", "--loop-weight must be in [0, 1], got nan"),
+        ("--runs", "0", "--runs must be >= 1, got 0"),
+        ("--multiframe", "0", "--multiframe must be >= 1, got 0"),
+        ("--jobs", "0", "--jobs must be >= 1, got 0"),
+    ],
+)
+def test_calibrate_rejects_out_of_range_numbers(frames_dir, tmp_path, capsys, flag, value, message):
+    out = tmp_path / "cal"
+    capsys.readouterr()
+    code = main(
+        [
+            "calibrate", "--frames", str(frames_dir), "--out", str(out),
+            "--scenario", "rigid-small", "--estimator", "identity", flag, value,
+        ]
+    )
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()

@@ -1,9 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from sensorcal.data import LIDAR_CHANNELS, RADAR_CHANNELS, PointCloud
+from sensorcal.data import LIDAR_CHANNELS, RADAR_CHANNELS, FrameSet, PointCloud
 from sensorcal.dataio import (
     GroundPlane,
     SceneSpec,
@@ -241,3 +242,22 @@ def test_frame_roundtrip(tmp_path):
     # clean frames carry no mis.txt and load with identity miscalibration
     assert not (tmp_path / "f0" / "mis.txt").exists()
     assert np.allclose(loaded.lidar_mis.matrix(), np.eye(4))
+
+
+def test_clouds_and_frames_compare_by_identity():
+    cloud = PointCloud.bare(np.eye(3))
+    twin = PointCloud.bare(np.eye(3))
+    assert cloud == cloud and cloud != twin
+    assert len({cloud, twin}) == 2
+    identity = RigidTransform.identity()
+    frame = FrameSet(
+        index=0,
+        camera_depth=np.zeros((2, 2, 1), dtype=np.float32),
+        camera_config=ProjectionConfig.pinhole(2, 2, fx=1.0, fy=1.0, cx=1.0, cy=1.0),
+        lidar=cloud,
+        radar=twin,
+        fixed_cam_lidar=identity,
+        fixed_lidar_radar=identity,
+        fixed_radar_cam=identity,
+    )
+    assert frame == frame and frame != replace(frame)

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from sensorcal.data import PointCloud
 from sensorcal.dataio import default_sensor_poses, generate_scene, random_scene_spec
@@ -19,13 +22,15 @@ from sensorcal.estimate import (
 )
 from sensorcal.loss import LossWeights, loop_transform
 from sensorcal.perturb import MiscalBounds, apply_miscalibration, sample_miscalibration
-from sensorcal.projection import ProjectionConfig, project_equirect
+from sensorcal.projection import ProjectionConfig, equirect_range_pixels, project_equirect
 from sensorcal.transform import (
     EulerPose,
     RigidTransform,
     apply,
     from_euler,
+    from_euler_vector,
     quat_angular_distance,
+    transform_points,
     translation_distance,
 )
 
@@ -105,6 +110,47 @@ def test_cost_matches_naive_raster_formula():
         source = PointCloud.bare(rng.uniform(-15, 15, (250, 3)))
         fast = alignment_cost(source, candidate, target, cfg)
         assert fast == naive_alignment_cost(source, candidate, target, cfg)
+
+
+def mean_formula_cost(source, candidate, target, cfg):
+    """The sparse cost with np.mean over the gathered differences; the
+    reference for the cost's inlined mean."""
+    pix, src_r = equirect_range_pixels(transform_points(candidate, source.xyz), cfg.projection)
+    if pix.size == 0:
+        return math.inf
+    tgt_r = target[..., 0].reshape(-1)[pix]
+    both = tgt_r > 0.0
+    n_overlap = int(np.count_nonzero(both))
+    if n_overlap < cfg.min_overlap:
+        return math.inf
+    cost = float(np.mean(np.abs(src_r[both] - tgt_r[both])))
+    return cost + cfg.occupancy_penalty * (pix.size - n_overlap) / pix.size
+
+
+_cost_clouds = arrays(
+    np.float64, st.tuples(st.integers(0, 300), st.just(3)), elements=st.floats(-30.0, 30.0)
+)
+
+
+@given(
+    source=_cost_clouds,
+    base=_cost_clouds,
+    pose=st.tuples(*[st.floats(-0.2, 0.2)] * 6),
+    penalty=st.sampled_from([0.0, 2.0]),
+    min_overlap=st.integers(1, 8),
+)
+def test_cost_equals_np_mean_formula(source, base, pose, penalty, min_overlap):
+    cfg = AlignmentCostConfig(
+        occupancy_penalty=penalty,
+        min_overlap=min_overlap,
+        projection=ProjectionConfig.equirect(48, 24),
+    )
+    target = project_equirect(PointCloud.bare(np.concatenate([base, source])), cfg.projection)
+    source = PointCloud.bare(source)
+    candidate = from_euler_vector(np.array(pose))
+    cost = alignment_cost(source, candidate, target, cfg)
+    ref = mean_formula_cost(source, candidate, target, cfg)
+    assert np.float64(cost).tobytes() == np.float64(ref).tobytes()
 
 
 def test_cost_schema_mismatch():

@@ -236,3 +236,12 @@ def test_paper_default_weights():
     assert W.point_weight == 0.5
     assert W.rotation_weight == 1.0
     assert W.translation_weight == 2.0
+
+
+def test_prediction_sets_compare_by_transform_values():
+    edge = from_euler(EulerPose(roll=0.1, tx=0.5))
+    same = from_euler(EulerPose(roll=0.1, tx=0.5))
+    assert PredictionSet(cam_lidar=edge) == PredictionSet(cam_lidar=same)
+    assert PredictionSet(cam_lidar=edge) != PredictionSet(cam_lidar=IDENTITY)
+    assert PredictionSet(cam_lidar=edge) != PredictionSet(radar_cam=edge)
+    assert PredictionSet() == PredictionSet()

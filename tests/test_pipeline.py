@@ -145,6 +145,7 @@ def test_refine_multiframe_group(perturbed):
         assert np.array_equal(value.t, group.get(name).t)
 
 
+@pytest.mark.slow
 def test_multiframe_beats_single_frame_on_sparse_noisy_radar():
     """Monte-Carlo direction check: a shared transform estimated over four
     frames of sparse, noisy radar lands closer than a single-frame estimate."""

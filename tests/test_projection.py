@@ -12,6 +12,7 @@ from sensorcal.projection import (
     ProjectionConfig,
     SphericalCoord,
     _ranges,
+    _rasterize,
     _winner_positions,
     cart_to_spherical,
     equirect_pixel,
@@ -143,28 +144,66 @@ def test_sparse_range_pixels_match_raster():
     assert np.array_equal(flat[pix], ranges)
 
 
-def lexsort_range_pixels(xyz, cfg):
-    """Reference reduction: range by np.linalg.norm, the plain pixel formula,
-    and the 3-key (pixel, float64 range, point index) lexsort."""
+def reference_pixels(xyz, cfg):
+    """Range by np.linalg.norm and the plain integer pixel formula, for the
+    points with range > 0: (flat pixel ids, ranges, kept point indices)."""
     xyz = np.asarray(xyz, dtype=float)
     r = np.linalg.norm(xyz, axis=1)
     keep = r > 0.0
     xyz, r = xyz[keep], r[keep]
     theta = np.arctan2(xyz[:, 1], xyz[:, 0])
-    phi = np.arcsin(np.clip(xyz[:, 2] / np.where(r > 0, r, 1.0), -1.0, 1.0))
-    u = np.floor((theta + np.pi) / (2.0 * np.pi) * cfg.width).astype(np.int64) % cfg.width
-    v = np.floor((1.0 - (phi + 0.5 * np.pi) / np.pi) * cfg.height).astype(np.int64)
-    pix = np.clip(v, 0, cfg.height - 1) * cfg.width + u
-    winners = _winner_positions(pix, r, np.flatnonzero(keep))
+    with np.errstate(invalid="ignore"):  # inf / inf elevations; NaN casts
+        phi = np.arcsin(np.clip(xyz[:, 2] / np.where(r > 0, r, 1.0), -1.0, 1.0))
+        u = np.floor((theta + np.pi) / (2.0 * np.pi) * cfg.width).astype(np.int64) % cfg.width
+        v = np.floor((1.0 - (phi + 0.5 * np.pi) / np.pi) * cfg.height).astype(np.int64)
+    return np.clip(v, 0, cfg.height - 1) * cfg.width + u, r, np.flatnonzero(keep)
+
+
+def lexsort_range_pixels(xyz, cfg):
+    """Reference reduction: the reference pixels and the 3-key (pixel,
+    float64 range, point index) lexsort."""
+    pix, r, index = reference_pixels(xyz, cfg)
+    winners = _winner_positions(pix, r, index)
     return pix[winners], r[winners].astype(np.float32)
 
 
-def assert_same_range_pixels(xyz, cfg):
+def packed_key_range_pixels(xyz, cfg):
+    """Reference copy of the earlier packed-key implementation: integer
+    pixel columns wrapped by % width, a clamped int64 row, and an (N, 3)
+    temporary for the squared coordinates."""
+    xyz = np.asarray(xyz, dtype=float)
+    sq = xyz * xyz
+    r = np.sqrt(sq[:, 0] + sq[:, 1] + sq[:, 2])
+    keep = r > 0.0
+    if np.count_nonzero(keep) < keep.size:
+        xyz, r = xyz[keep], r[keep]
+    theta = np.arctan2(xyz[:, 1], xyz[:, 0])
+    with np.errstate(invalid="ignore"):
+        phi = np.arcsin(np.minimum(np.maximum(xyz[:, 2] / r, -1.0), 1.0))
+        u = np.floor((theta + np.pi) / (2.0 * np.pi) * cfg.width).astype(np.int64) % cfg.width
+        v = np.floor((1.0 - (phi + 0.5 * np.pi) / np.pi) * cfg.height).astype(np.int64)
+    v = np.minimum(np.maximum(v, 0), cfg.height - 1)
+    pix = (v * cfg.width + u).astype(np.uint64)
+    key = (pix << np.uint64(32)) | r.astype(np.float32).view(np.uint32)
+    key.sort()
+    pix = (key >> np.uint64(32)).astype(np.int64)
+    first = np.ones(key.size, dtype=bool)
+    first[1:] = pix[1:] != pix[:-1]
+    return pix[first], key[first].astype(np.uint32).view(np.float32)
+
+
+def assert_same_range_pixels(xyz, cfg, reference=lexsort_range_pixels):
     pix, ranges = equirect_range_pixels(xyz, cfg)
-    ref_pix, ref_ranges = lexsort_range_pixels(xyz, cfg)
+    ref_pix, ref_ranges = reference(xyz, cfg)
     assert pix.dtype == ref_pix.dtype and ranges.dtype == ref_ranges.dtype
     assert pix.tobytes() == ref_pix.tobytes()
     assert ranges.tobytes() == ref_ranges.tobytes()
+
+
+def rasterize_reference(cloud, cfg):
+    """The channel path of project_equirect: _rasterize on the reference pixels."""
+    pix, r, index = reference_pixels(cloud.xyz, cfg)
+    return _rasterize(pix, r, cloud.channels[index], index, cfg)
 
 
 _coords = st.floats(-50.0, 50.0, allow_nan=False, allow_infinity=False)
@@ -198,9 +237,84 @@ def test_range_pixels_equal_lexsort_reference(xyz, width, height):
     assert_same_range_pixels(xyz, ProjectionConfig.equirect(width, height))
 
 
-@given(arrays(np.float64, st.tuples(st.integers(0, 64), st.just(3)), elements=_coords))
-def test_ranges_equal_linalg_norm(xyz):
-    assert _ranges(xyz).tobytes() == np.linalg.norm(xyz, axis=1).tobytes()
+@st.composite
+def edge_clouds(draw):
+    """collision_clouds plus points on both poles, far points (squared
+    coordinates up to overflow), and rows with infinite coordinates."""
+    parts = [draw(collision_clouds())]
+    poles = draw(arrays(np.float64, draw(st.integers(0, 4)), elements=st.floats(-50.0, 50.0)))
+    parts.append(np.stack([np.zeros_like(poles), np.zeros_like(poles), poles], axis=1))
+    far = st.floats(1e6, 1e200) | st.floats(-1e200, -1e6) | st.floats(-1.0, 1.0)
+    parts.append(draw(arrays(np.float64, (draw(st.integers(0, 4)), 3), elements=far)))
+    infs = st.sampled_from([np.inf, -np.inf]) | st.floats(-50.0, 50.0)
+    parts.append(draw(arrays(np.float64, (draw(st.integers(0, 4)), 3), elements=infs)))
+    xyz = np.concatenate(parts)
+    order = draw(st.permutations(range(len(xyz))))
+    return xyz[list(order)]
+
+
+_layouts = st.sampled_from(["C", "F"])
+
+
+def _with_layout(xyz, layout):
+    return np.asfortranarray(xyz) if layout == "F" else np.ascontiguousarray(xyz)
+
+
+@given(
+    xyz=edge_clouds(),
+    layout=_layouts,
+    width=st.integers(1, 48),
+    height=st.integers(1, 24),
+)
+def test_range_pixels_equal_packed_key_reference(xyz, layout, width, height):
+    with np.errstate(over="ignore", invalid="ignore"):  # far and infinite points
+        assert_same_range_pixels(
+            _with_layout(xyz, layout),
+            ProjectionConfig.equirect(width, height),
+            reference=packed_key_range_pixels,
+        )
+
+
+def test_range_pixels_put_non_finite_elevations_in_row_0():
+    # inf / inf makes the elevation NaN; the integer row clamp sent it to 0
+    cfg = ProjectionConfig.equirect(8, 4)
+    xyz = np.array([[1.0, 0.0, np.inf], [0.0, 0.0, -np.inf], [-np.inf, 1.0, np.inf]])
+    with np.errstate(invalid="ignore"):
+        pix, ranges = equirect_range_pixels(xyz, cfg)
+        assert_same_range_pixels(xyz, cfg, reference=packed_key_range_pixels)
+    assert pix.tolist() == [0, 4]
+    assert ranges.tolist() == [np.inf, np.inf]
+
+
+@given(
+    xyz=collision_clouds(),
+    width=st.integers(1, 48),
+    height=st.integers(1, 24),
+)
+def test_project_equirect_bare_equals_rasterize_path(xyz, width, height):
+    cfg = ProjectionConfig.equirect(width, height)
+    cloud = PointCloud.bare(xyz)
+    assert project_equirect(cloud, cfg).tobytes() == rasterize_reference(cloud, cfg).tobytes()
+
+
+def test_project_equirect_bare_equals_rasterize_path_on_a_camera_cloud():
+    rng = np.random.default_rng(25)
+    cfg = ProjectionConfig.equirect(1536, 768)
+    cloud = PointCloud.bare(rng.normal(0.0, 15.0, (60000, 3)))
+    assert project_equirect(cloud, cfg).tobytes() == rasterize_reference(cloud, cfg).tobytes()
+
+
+_ranges_elements = st.floats(allow_nan=False) | st.sampled_from([0.0, -0.0])
+
+
+@given(
+    arrays(np.float64, st.tuples(st.integers(0, 64), st.just(3)), elements=_ranges_elements),
+    _layouts,
+)
+def test_ranges_equal_linalg_norm(xyz, layout):
+    xyz = _with_layout(xyz, layout)
+    with np.errstate(over="ignore"):
+        assert _ranges(xyz).tobytes() == np.linalg.norm(xyz, axis=1).tobytes()
 
 
 def test_range_pixels_equal_lexsort_reference_at_cost_resolution():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from sensorcal.transform import (
     EulerPose,
@@ -259,3 +260,62 @@ def test_rotation_matrix_copy_is_the_callers():
         assert np.array_equal(a.matrix(), before_m)
         assert np.array_equal(transform_points(a, pts), before_pts)
         assert not a.q.flags.writeable and not a.t.flags.writeable
+
+
+def _layout(xyz, layout):
+    """The same (N, 3) values C-ordered, F-ordered, or as a strided view."""
+    if layout == "F":
+        return np.asfortranarray(xyz)
+    if layout == "strided":
+        wide = np.zeros((2 * len(xyz), 5))
+        wide[::2, 1:4] = xyz
+        return wide[::2, 1:4]
+    return np.ascontiguousarray(xyz)
+
+
+_points = arrays(
+    np.float64,
+    st.tuples(st.sampled_from([0, 1, 2, 3]), st.just(3)),
+    elements=st.floats(-1e3, 1e3, allow_nan=False) | st.sampled_from([0.0, -0.0]),
+)
+
+
+def assert_transform_points_is_row_product(a, xyz):
+    out = transform_points(a, xyz)
+    ref = xyz @ a.rotation_matrix().T + a.t
+    assert out.shape == ref.shape and out.tobytes() == ref.tobytes()
+
+
+@given(v=_vectors, xyz=_points, layout=st.sampled_from(["C", "F", "strided"]))
+def test_transform_points_bit_identical_to_row_product(v, xyz, layout):
+    assert_transform_points_is_row_product(from_euler_vector(np.array(v)), _layout(xyz, layout))
+
+
+def test_transform_points_bit_identical_to_row_product_on_large_clouds():
+    rng = np.random.default_rng(19)
+    for n in (400, 5008, 70000):
+        xyz = rng.normal(0.0, 30.0, (n, 3))
+        for layout in ("C", "F", "strided"):
+            a = from_euler_vector(np.r_[rng.uniform(-3.5, 3.5, 3), rng.uniform(-5, 5, 3)])
+            assert_transform_points_is_row_product(a, _layout(xyz, layout))
+
+
+@given(v=_vectors, xyz=_points, layout=st.sampled_from(["C", "F", "strided"]))
+def test_apply_stores_c_ordered_xyz(v, xyz, layout):
+    # an (N, 3) @ (3,) product, as in the estimator's frustum crop, may round
+    # differently on an F-ordered array, so clouds must stay C-ordered
+    a = from_euler_vector(np.array(v))
+    moved = apply(a, PointCloud.bare(_layout(xyz, layout)))
+    assert moved.xyz.flags.c_contiguous
+    assert moved.xyz.tobytes() == transform_points(a, xyz).tobytes()
+
+
+def test_transforms_compare_by_value_and_stay_unhashable():
+    x = np.array([0.3, -0.2, 0.9, 1.0, 2.0, 3.0])
+    assert RigidTransform.identity() == RigidTransform.identity()
+    assert from_euler_vector(x) == from_euler(EulerPose.from_array(x))
+    assert from_euler_vector(x) != from_euler_vector(x + [0, 0, 0, 0, 0, 1e-12])
+    assert from_euler_vector(x) != from_euler_vector(x + [1e-12, 0, 0, 0, 0, 0])
+    assert RigidTransform.identity() != "identity"
+    with pytest.raises(TypeError):
+        hash(RigidTransform.identity())
