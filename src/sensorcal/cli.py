@@ -112,7 +112,37 @@ def _load_frames(root: Path) -> tuple[list[FrameSet], dict]:
     return [load_frame(d, camera, scale, index=k) for k, d in enumerate(dirs)], manifest
 
 
+def _gen_scene_arg_error(args: argparse.Namespace) -> str | None:
+    """The first out-of-range number among the gen-scene options, if any."""
+    if args.frames < 1:
+        return f"--frames must be >= 1, got {args.frames}"
+    densities = (("--lidar-density", args.lidar_density), ("--radar-density", args.radar_density))
+    for flag, value in densities:
+        if value < 0:
+            return f"{flag} must be >= 0, got {value}"
+    sigmas = (("--lidar-noise", args.lidar_noise), ("--radar-noise", args.radar_noise))
+    for flag, value in sigmas:
+        if not (math.isfinite(value) and value >= 0.0):
+            return f"{flag} must be finite and >= 0, got {value}"
+    if not 0.0 <= args.dropout < 1.0:
+        return f"--dropout must be in [0, 1), got {args.dropout}"
+    return None
+
+
+def _perturb_arg_error(args: argparse.Namespace) -> str | None:
+    """The first out-of-range number among the perturb options, if any."""
+    bounds = (("--max-translation", args.max_translation), ("--max-rotation", args.max_rotation))
+    for flag, value in bounds:
+        if not (math.isfinite(value) and value >= 0.0):
+            return f"{flag} must be finite and >= 0, got {value}"
+    return None
+
+
 def cmd_gen_scene(args: argparse.Namespace) -> int:
+    problem = _gen_scene_arg_error(args)
+    if problem is not None:
+        print(f"error: {problem}", file=sys.stderr)
+        return 2
     out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -150,6 +180,10 @@ def cmd_gen_scene(args: argparse.Namespace) -> int:
 
 
 def cmd_perturb(args: argparse.Namespace) -> int:
+    problem = _perturb_arg_error(args)
+    if problem is not None:
+        print(f"error: {problem}", file=sys.stderr)
+        return 2
     src = Path(args.frames)
     out = Path(args.out)
     frames, manifest = _load_frames(src)

@@ -23,7 +23,7 @@ from .errors import (
     ParseError,
     SizeMismatchError,
 )
-from .projection import ProjectionConfig, project_pinhole
+from .projection import ProjectionConfig, _ranges, project_pinhole
 from .transform import RigidTransform, compose, invert
 
 __all__ = [
@@ -53,6 +53,8 @@ class GroundPlane:
     intensity: float = 0.3
     rcs: float = 0.0
 
+    bounding_sphere = None  # unbounded: _cast tests every ray
+
     def intersect(self, origin: np.ndarray, dirs: np.ndarray) -> np.ndarray:
         dz = np.where(np.abs(dirs[:, 2]) < 1e-12, 1e-12, dirs[:, 2])
         t = (self.z - origin[2]) / dz
@@ -66,14 +68,32 @@ class Box:
     intensity: float = 0.8
     rcs: float = 10.0
 
+    @property
+    def bounding_sphere(self) -> tuple[tuple[float, float, float], float]:
+        return tuple(self.center), 0.5 * math.sqrt(sum(s * s for s in self.size))
+
     def intersect(self, origin: np.ndarray, dirs: np.ndarray) -> np.ndarray:
-        lo = np.asarray(self.center) - 0.5 * np.asarray(self.size)
-        hi = np.asarray(self.center) + 0.5 * np.asarray(self.size)
-        d = np.where(np.abs(dirs) < 1e-12, 1e-12, dirs)
-        t1 = (lo - origin) / d
-        t2 = (hi - origin) / d
-        t_enter = np.max(np.minimum(t1, t2), axis=1)
-        t_exit = np.min(np.maximum(t1, t2), axis=1)
+        """Slab test, one coordinate column at a time.
+
+        Folding each axis into running enter/exit times gives the same bits
+        as a max/min over all three axes at once: both are exact, and no
+        NaN can arise from a finite difference over a guarded direction.
+        """
+        t_enter = t_exit = None
+        for k in range(3):
+            lo = self.center[k] - 0.5 * self.size[k]
+            hi = self.center[k] + 0.5 * self.size[k]
+            d = dirs[:, k]
+            d = np.where(np.abs(d) < 1e-12, 1e-12, d)
+            t1 = (lo - origin[k]) / d
+            t2 = np.divide(hi - origin[k], d, out=d)
+            near = np.minimum(t1, t2)
+            far = np.maximum(t1, t2, out=t1)
+            if t_enter is None:
+                t_enter, t_exit = near, far
+            else:
+                np.maximum(t_enter, near, out=t_enter)
+                np.minimum(t_exit, far, out=t_exit)
         hit = (t_enter <= t_exit) & (t_enter > _EPS)
         return np.where(hit, t_enter, np.inf)
 
@@ -89,6 +109,12 @@ class Cylinder:
     z_max: float
     intensity: float = 0.6
     rcs: float = 6.0
+
+    @property
+    def bounding_sphere(self) -> tuple[tuple[float, float, float], float]:
+        half_height = 0.5 * (self.z_max - self.z_min)
+        center = (self.cx, self.cy, 0.5 * (self.z_min + self.z_max))
+        return center, math.sqrt(self.radius**2 + half_height**2)
 
     def intersect(self, origin: np.ndarray, dirs: np.ndarray) -> np.ndarray:
         ox = origin[0] - self.cx
@@ -136,8 +162,9 @@ class SceneSpec:
     def __post_init__(self) -> None:
         if self.lidar_density < 0 or self.radar_density < 0:
             raise ValueError("densities must be >= 0")
-        if self.lidar_noise < 0.0 or self.radar_noise < 0.0:
-            raise ValueError("noise sigma must be >= 0")
+        for sigma in (self.lidar_noise, self.radar_noise, self.rcs_noise):
+            if not (math.isfinite(sigma) and sigma >= 0.0):
+                raise ValueError(f"noise sigma must be finite and >= 0, got {sigma}")
         if not 0.0 <= self.radar_dropout < 1.0:
             raise ValueError("dropout must be in [0, 1)")
 
@@ -216,20 +243,64 @@ def default_sensor_poses() -> dict[str, RigidTransform]:
     }
 
 
+def _rays_near(origin: np.ndarray, dirs: np.ndarray, prim: Primitive) -> np.ndarray | None:
+    """Indices of the rays that can hit prim, or None to test every ray.
+
+    A ray is kept when its line passes within radius*(1 + 1e-3) + 1e-6 of
+    the centre of prim's bounding sphere.  The margin covers rounding and
+    the 1e-12 direction guard of the slab test, so every dropped ray is one
+    that prim.intersect maps to inf.  Directions are unit vectors.  Culling
+    only pays when the origin sits well outside the sphere, so it is skipped
+    within twice the radius.  The quadratic of a cylinder is not geometric
+    for rays whose guarded horizontal part is tiny; those are always kept.
+    """
+    if prim.bounding_sphere is None:
+        return None
+    center, radius = prim.bounding_sphere
+    vx, vy, vz = (center[k] - origin[k] for k in range(3))
+    vv = vx * vx + vy * vy + vz * vz
+    if vv <= 4.0 * radius * radius:
+        return None
+    bound = radius * (1.0 + 1e-3) + 1e-6
+    # the squared distance of the line to the centre is vv - (d.v)**2
+    proj = dirs[:, 0] * vx
+    proj += dirs[:, 1] * vy
+    proj += dirs[:, 2] * vz
+    proj *= proj
+    keep = proj >= vv - bound * bound
+    if isinstance(prim, Cylinder):
+        np.multiply(dirs[:, 0], dirs[:, 0], out=proj)
+        proj += dirs[:, 1] * dirs[:, 1]
+        keep |= proj < 1e-10
+    return np.flatnonzero(keep)
+
+
 def _cast(
     origin: np.ndarray,
     dirs: np.ndarray,
     primitives: tuple[Primitive, ...],
     max_range: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest hit distance and primitive index per ray (-1 where none)."""
+    """Nearest hit distance and primitive index per ray (-1 where none).
+
+    Each primitive intersects only the rays ``_rays_near`` keeps; the
+    intersections are row-wise, so a kept ray gets the bits it would get in
+    a call over every ray, and a dropped one would have missed.
+    """
     t_best = np.full(dirs.shape[0], np.inf)
     idx_best = np.full(dirs.shape[0], -1, dtype=np.int64)
     for i, prim in enumerate(primitives):
-        t = prim.intersect(origin, dirs)
-        closer = t < t_best
-        t_best[closer] = t[closer]
-        idx_best[closer] = i
+        rows = _rays_near(origin, dirs, prim)
+        if rows is None:
+            t = prim.intersect(origin, dirs)
+            closer = t < t_best
+            t_best[closer] = t[closer]
+            idx_best[closer] = i
+        else:
+            t = prim.intersect(origin, dirs[rows])
+            closer = t < t_best[rows]
+            t_best[rows[closer]] = t[closer]
+            idx_best[rows[closer]] = i
     miss = ~np.isfinite(t_best) | (t_best > max_range)
     idx_best[miss] = -1
     return t_best, idx_best
@@ -252,7 +323,7 @@ def _camera_rays(cfg: ProjectionConfig) -> np.ndarray:
     dx = (u.ravel() + 0.5 - cfg.cx) / cfg.fx
     dy = (v.ravel() + 0.5 - cfg.cy) / cfg.fy
     dirs = np.stack([dx, dy, np.ones_like(dx)], axis=1)
-    return dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
+    return dirs / _ranges(dirs)[:, None]
 
 
 def generate_scene(
@@ -274,7 +345,8 @@ def generate_scene(
     radar_pose = sensor_poses["radar"]
 
     def cast_from(pose: RigidTransform, dirs_sensor: np.ndarray):
-        dirs_world = dirs_sensor @ pose.rotation_matrix().T
+        # column-major, so the casters read contiguous coordinate columns
+        dirs_world = (pose.rotation_matrix() @ dirs_sensor.T).T
         t, idx = _cast(pose.t, dirs_world, spec.primitives, spec.max_range)
         hit = idx >= 0
         return t[hit], idx[hit], dirs_sensor[hit]

@@ -306,9 +306,12 @@ def _camera_half_fov(cfg: ProjectionConfig) -> float:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _EdgeProblem:
-    """One pairwise alignment task: sources per frame, targets per frame."""
+    """One pairwise alignment task: sources per frame, targets per frame.
+
+    Problems compare by identity, like the clouds they hold.
+    """
 
     name: str
     sources: tuple[PointCloud, ...]

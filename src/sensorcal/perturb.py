@@ -27,8 +27,9 @@ class MiscalBounds:
     max_rotation: float  # radians, per axis
 
     def __post_init__(self) -> None:
-        if self.max_translation < 0.0 or self.max_rotation < 0.0:
-            raise ValueError("bounds must be >= 0")
+        for bound in (self.max_translation, self.max_rotation):
+            if not (math.isfinite(bound) and bound >= 0.0):
+                raise ValueError(f"bounds must be finite and >= 0, got {bound}")
 
 
 @dataclass(frozen=True)

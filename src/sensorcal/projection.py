@@ -208,32 +208,24 @@ def _equirect_pix(
     return v
 
 
-def equirect_range_pixels(xyz: np.ndarray, cfg: ProjectionConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Occupied flat pixel ids and their winning float32 ranges.
+def _nearest_per_pixel(
+    pix: np.ndarray, r: np.ndarray, cfg: ProjectionConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """Occupied flat pixel ids and their nearest float32 ranges (r >= 0).
 
-    Sparse equivalent of ``project_equirect(...)[..., 0]``: the returned
-    pixels are exactly the nonzero pixels of the raster and carry identical
-    values, without allocating the image.
-
-    The nearest-wins reduction sorts one uint64 key per point, the pixel id
-    in the high word and the float32 bit pattern of the range in the low
-    word; bit patterns of non-negative floats order like their values, so
-    each pixel's run starts with its winner.  Exact ties that
-    ``_winner_positions`` breaks by point index have equal float32 ranges,
-    so the (pixel, range) pairs and their order are the same.
+    Sorts one uint64 key per point, the pixel id in the high word and the
+    float32 bit pattern of the range in the low word; bit patterns of
+    non-negative floats order like their values, so each pixel's run starts
+    with its winner.  Exact ties that ``_winner_positions`` breaks by point
+    index have equal float32 ranges, so the (pixel, range) pairs and their
+    order are the same.  pix may be integer-valued float64.
     """
     if cfg.width * cfg.height >= 2**32:
         raise ValueError(
             f"raster {cfg.width}x{cfg.height} has 2**32 or more pixels, "
             "too many for the packed sort key"
         )
-    xyz = np.asarray(xyz, dtype=float)
-    x, y, z = xyz[:, 0], xyz[:, 1], xyz[:, 2]
-    r = _ranges(xyz)
-    keep = r > 0.0
-    if np.count_nonzero(keep) < keep.size:
-        x, y, z, r = x[keep], y[keep], z[keep], r[keep]
-    key = _equirect_pix(x, y, z, r, cfg).astype(np.uint64)
+    key = pix.astype(np.uint64)
     key <<= np.uint64(32)
     key |= r.astype(np.float32).view(np.uint32)
     key.sort()
@@ -244,20 +236,45 @@ def equirect_range_pixels(xyz: np.ndarray, cfg: ProjectionConfig) -> tuple[np.nd
     return pix[first].astype(np.int64), key[first].astype(np.uint32).view(np.float32)
 
 
+def _range_image(pix: np.ndarray, r: np.ndarray, cfg: ProjectionConfig) -> np.ndarray:
+    """Single-channel raster of the output of ``_nearest_per_pixel``.
+
+    Float32 rounding is monotonic, so the nearest float64 range rounds to
+    the smallest float32 range of its pixel: the raster equals the one
+    ``_rasterize`` makes of a cloud without channels.
+    """
+    img = np.zeros((cfg.height, cfg.width, 1), dtype=np.float32)
+    img.reshape(-1)[pix] = r
+    return img
+
+
+def equirect_range_pixels(xyz: np.ndarray, cfg: ProjectionConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Occupied flat pixel ids and their winning float32 ranges.
+
+    Sparse equivalent of ``project_equirect(...)[..., 0]``: the returned
+    pixels are exactly the nonzero pixels of the raster and carry identical
+    values, without allocating the image.  The nearest-wins reduction is
+    ``_nearest_per_pixel``.
+    """
+    xyz = np.asarray(xyz, dtype=float)
+    x, y, z = xyz[:, 0], xyz[:, 1], xyz[:, 2]
+    r = _ranges(xyz)
+    keep = r > 0.0
+    if np.count_nonzero(keep) < keep.size:
+        x, y, z, r = x[keep], y[keep], z[keep], r[keep]
+    return _nearest_per_pixel(_equirect_pix(x, y, z, r, cfg), r, cfg)
+
+
 def project_equirect(cloud: PointCloud, cfg: ProjectionConfig) -> np.ndarray:
     """Equirectangular depth image; every point with r > 0 lands in-bounds.
 
     A cloud without channels scatters ``equirect_range_pixels`` into the
-    raster: float32 rounding is monotonic, so the nearest float64 range
-    rounds to the smallest float32 range of its pixel.  Channels need the
-    point-index tie-break of ``_winner_positions``.
+    raster (see ``_range_image``).  Channels need the point-index
+    tie-break of ``_winner_positions``.
     """
     _check_schema(cloud, cfg)
     if not cloud.schema:
-        img = np.zeros((cfg.height, cfg.width, 1), dtype=np.float32)
-        pix, r = equirect_range_pixels(cloud.xyz, cfg)
-        img.reshape(-1)[pix] = r
-        return img
+        return _range_image(*equirect_range_pixels(cloud.xyz, cfg), cfg)
     r = _ranges(cloud.xyz)
     keep = r > 0.0
     xyz, r = cloud.xyz[keep], r[keep]
@@ -266,7 +283,12 @@ def project_equirect(cloud: PointCloud, cfg: ProjectionConfig) -> np.ndarray:
 
 
 def project_pinhole(cloud: PointCloud, cfg: ProjectionConfig) -> np.ndarray:
-    """Pinhole depth image looking along +z; out-of-frustum points are dropped."""
+    """Pinhole depth image looking along +z; out-of-frustum points are dropped.
+
+    A cloud without channels takes the packed-key reduction of
+    ``_nearest_per_pixel`` (see ``_range_image``); channels need the
+    point-index tie-break of ``_winner_positions``.
+    """
     if cfg.mode != "pinhole":
         raise ValueError("project_pinhole requires a pinhole ProjectionConfig")
     _check_schema(cloud, cfg)
@@ -278,10 +300,11 @@ def project_pinhole(cloud: PointCloud, cfg: ProjectionConfig) -> np.ndarray:
     u = np.floor(cfg.fx * xyz[:, 0] / z + cfg.cx).astype(np.int64)
     v = np.floor(cfg.fy * xyz[:, 1] / z + cfg.cy).astype(np.int64)
     inside = (u >= 0) & (u < cfg.width) & (v >= 0) & (v < cfg.height)
-    index = np.flatnonzero(keep)[inside]
-    xyz = xyz[inside]
-    r = np.linalg.norm(xyz, axis=1)
+    r = _ranges(xyz[inside])
     pix = v[inside] * cfg.width + u[inside]
+    if not cloud.schema:
+        return _range_image(*_nearest_per_pixel(pix, r, cfg), cfg)
+    index = np.flatnonzero(keep)[inside]
     return _rasterize(pix, r, cloud.channels[index], index, cfg)
 
 

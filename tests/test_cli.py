@@ -312,3 +312,42 @@ def test_calibrate_rejects_out_of_range_numbers(frames_dir, tmp_path, capsys, fl
     assert code == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--frames", "0", "--frames must be >= 1, got 0"),
+        ("--lidar-density", "-5", "--lidar-density must be >= 0, got -5"),
+        ("--radar-density", "-1", "--radar-density must be >= 0, got -1"),
+        ("--lidar-noise", "-1", "--lidar-noise must be finite and >= 0, got -1.0"),
+        ("--radar-noise", "nan", "--radar-noise must be finite and >= 0, got nan"),
+        ("--lidar-noise", "inf", "--lidar-noise must be finite and >= 0, got inf"),
+        ("--dropout", "1.0", "--dropout must be in [0, 1), got 1.0"),
+        ("--dropout", "-0.1", "--dropout must be in [0, 1), got -0.1"),
+        ("--dropout", "nan", "--dropout must be in [0, 1), got nan"),
+    ],
+)
+def test_gen_scene_rejects_out_of_range_numbers(tmp_path, capsys, flag, value, message):
+    out = tmp_path / "frames"
+    capsys.readouterr()
+    assert main(["gen-scene", "--out", str(out), flag, value]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--max-rotation", "-1", "--max-rotation must be finite and >= 0, got -1.0"),
+        ("--max-rotation", "inf", "--max-rotation must be finite and >= 0, got inf"),
+        ("--max-translation", "nan", "--max-translation must be finite and >= 0, got nan"),
+        ("--max-translation", "-0.2", "--max-translation must be finite and >= 0, got -0.2"),
+    ],
+)
+def test_perturb_rejects_out_of_range_numbers(frames_dir, tmp_path, capsys, flag, value, message):
+    out = tmp_path / "pert"
+    capsys.readouterr()
+    assert main(["perturb", "--frames", str(frames_dir), "--out", str(out), flag, value]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()

@@ -98,6 +98,21 @@ def test_spec_validation():
         SceneSpec(lidar_density=-1)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("lidar_noise", math.nan),
+        ("radar_noise", math.inf),
+        ("rcs_noise", math.nan),
+        ("rcs_noise", -1.0),
+        ("radar_dropout", math.nan),
+    ],
+)
+def test_spec_rejects_non_finite_and_negative_sigmas(field, value):
+    with pytest.raises(ValueError):
+        SceneSpec(**{field: value})
+
+
 def test_calib_roundtrip(tmp_path):
     rng = np.random.default_rng(41)
     transforms = {

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from sensorcal.errors import NoOverlapError, SchemaMismatchError
 from sensorcal.estimate import (
     AlignmentCostConfig,
     EstimatorStage,
+    _build_problems,
     alignment_cost,
     estimate_joint,
     estimate_multiframe,
@@ -288,3 +290,13 @@ def test_stage_validation():
         AlignmentCostConfig(occupancy_penalty=-1.0)
     with pytest.raises(ValueError):
         AlignmentCostConfig(min_overlap=0)
+
+
+def test_edge_problems_compare_by_identity(frame):
+    stage = EstimatorStage(bounds=SMALL)
+    problem = _build_problems([frame], ("cam_lidar",), stage, AlignmentCostConfig())[0]
+    # the same sources with equal but distinct target arrays
+    twin = replace(problem, targets=tuple(t.copy() for t in problem.targets))
+    assert twin.sources is problem.sources
+    assert problem == problem
+    assert problem != twin

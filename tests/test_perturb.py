@@ -129,3 +129,12 @@ def test_presets_shrink():
         ScenarioPreset("bad", (MiscalBounds(0.1, 0.1), MiscalBounds(0.2, 0.05)))
     with pytest.raises(ValueError):
         ScenarioPreset("empty", ())
+
+
+@pytest.mark.parametrize(
+    "translation, rotation",
+    [(-0.1, 0.1), (0.1, -0.1), (math.nan, 0.1), (0.1, math.nan), (math.inf, 0.1), (0.1, math.inf)],
+)
+def test_bounds_must_be_finite_and_non_negative(translation, rotation):
+    with pytest.raises(ValueError, match="finite and >= 0"):
+        MiscalBounds(translation, rotation)

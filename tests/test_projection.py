@@ -304,6 +304,51 @@ def test_project_equirect_bare_equals_rasterize_path_on_a_camera_cloud():
     assert project_equirect(cloud, cfg).tobytes() == rasterize_reference(cloud, cfg).tobytes()
 
 
+def pinhole_rasterize_reference(cloud, cfg):
+    """project_pinhole before bare clouds took the packed-key reduction:
+    np.linalg.norm ranges and the lexsort of _rasterize for every cloud."""
+    xyz = cloud.xyz
+    z = xyz[:, 2]
+    keep = z > 0.0
+    xyz = xyz[keep]
+    z = z[keep]
+    u = np.floor(cfg.fx * xyz[:, 0] / z + cfg.cx).astype(np.int64)
+    v = np.floor(cfg.fy * xyz[:, 1] / z + cfg.cy).astype(np.int64)
+    inside = (u >= 0) & (u < cfg.width) & (v >= 0) & (v < cfg.height)
+    index = np.flatnonzero(keep)[inside]
+    xyz = xyz[inside]
+    r = np.linalg.norm(xyz, axis=1)
+    pix = v[inside] * cfg.width + u[inside]
+    return _rasterize(pix, r, cloud.channels[index], index, cfg)
+
+
+@given(
+    xyz=collision_clouds(),
+    layout=_layouts,
+    width=st.integers(1, 48),
+    height=st.integers(1, 24),
+    focal=st.floats(0.25, 40.0),
+    principal=st.tuples(st.floats(-4.0, 52.0), st.floats(-4.0, 28.0)),
+)
+def test_project_pinhole_bare_equals_rasterize_path(xyz, layout, width, height, focal, principal):
+    # collision_clouds has range ties, float32 ties, zero points and z <= 0
+    cfg = ProjectionConfig.pinhole(width, height, focal, 0.5 * focal, *principal)
+    cloud = PointCloud.bare(_with_layout(xyz, layout))
+    with np.errstate(invalid="ignore"):  # columns of points near z = 0 overflow int64
+        img = project_pinhole(cloud, cfg)
+        assert img.tobytes() == pinhole_rasterize_reference(cloud, cfg).tobytes()
+
+
+def test_project_pinhole_bare_equals_rasterize_path_on_a_camera_cloud():
+    rng = np.random.default_rng(26)
+    cfg = ProjectionConfig.pinhole(640, 320, fx=320.0, fy=320.0, cx=320.0, cy=160.0)
+    xyz = rng.normal(0.0, 15.0, (60000, 3))
+    xyz[:20000] = np.round(xyz[:20000], 1)  # many points per pixel, exact ties
+    cloud = PointCloud.bare(xyz)
+    img = project_pinhole(cloud, cfg)
+    assert img.tobytes() == pinhole_rasterize_reference(cloud, cfg).tobytes()
+
+
 _ranges_elements = st.floats(allow_nan=False) | st.sampled_from([0.0, -0.0])
 
 
