@@ -143,23 +143,31 @@ def cmd_gen_scene(args: argparse.Namespace) -> int:
     if problem is not None:
         print(f"error: {problem}", file=sys.stderr)
         return 2
+    # every frame is generated before anything is written, so a degenerate
+    # scene leaves no partial output behind
+    poses = default_sensor_poses()
+    frames = [
+        generate_scene(
+            random_scene_spec(
+                seed=args.seed + k,
+                lidar_density=args.lidar_density,
+                radar_density=args.radar_density,
+                lidar_noise=args.lidar_noise,
+                radar_noise=args.radar_noise,
+                radar_dropout=args.dropout,
+            ),
+            poses,
+            index=k,
+        )
+        for k in range(args.frames)
+    ]
     out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         print(f"error: cannot create output dir {out}: {exc}", file=sys.stderr)
         return 1
-    poses = default_sensor_poses()
-    for k, frame_dir in enumerate(_frame_dirs(out, args.frames)):
-        spec = random_scene_spec(
-            seed=args.seed + k,
-            lidar_density=args.lidar_density,
-            radar_density=args.radar_density,
-            lidar_noise=args.lidar_noise,
-            radar_noise=args.radar_noise,
-            radar_dropout=args.dropout,
-        )
-        frame = generate_scene(spec, poses, index=k)
+    for frame, frame_dir in zip(frames, _frame_dirs(out, args.frames)):
         save_frame(frame, frame_dir, DEPTH_SCALE)
     _write_manifest(
         out,
@@ -172,7 +180,7 @@ def cmd_gen_scene(args: argparse.Namespace) -> int:
             "lidar_noise": args.lidar_noise,
             "radar_noise": args.radar_noise,
             "dropout": args.dropout,
-            "camera": _camera_manifest(frame.camera_config),
+            "camera": _camera_manifest(frames[-1].camera_config),
         },
     )
     print(f"wrote {args.frames} frame(s) to {out}")

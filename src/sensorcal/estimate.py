@@ -14,11 +14,11 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .data import FrameSet, PointCloud
 from .errors import NoOverlapError
 from .loss import PAIR_NAMES, LossWeights, PredictionSet, loop_transform, param_loss
+from .neldermead import minimize
 from .perturb import MiscalBounds
 from .projection import (
     ProjectionConfig,
@@ -151,22 +151,18 @@ def _nelder_mead(
     tolerance: float,
     step_fraction: float = 0.35,
 ) -> tuple[np.ndarray, float]:
-    # errstate: simplex vertices in no-overlap regions are +inf, which is
-    # meaningful here but trips numpy warnings inside the scipy bookkeeping
-    with np.errstate(invalid="ignore", over="ignore"):
-        res = minimize(
-            cost_fn,
-            x0,
-            method="Nelder-Mead",
-            options={
-                "maxfev": maxfev,
-                "fatol": tolerance,
-                "xatol": 1e-7,
-                "initial_simplex": _initial_simplex(x0, box, step_fraction),
-                "disp": False,
-            },
-        )
-    return np.asarray(res.x, dtype=float), float(res.fun)
+    # one call per run, options passed by keyword: bench/tracing.py wraps
+    # this module's `minimize` and reads len(x0) and options["maxfev"]
+    return minimize(
+        cost_fn,
+        x0,
+        options={
+            "maxfev": maxfev,
+            "fatol": tolerance,
+            "xatol": 1e-7,
+            "initial_simplex": _initial_simplex(x0, box, step_fraction),
+        },
+    )
 
 
 # Boxes with rotation bounds beyond this get a rotation-grid screen: uniform

@@ -12,7 +12,7 @@ from .errors import EmptyListError, LengthMismatchError, MissingPairError, NoOve
 from .estimate import Estimator, EstimatorStage
 from .loss import PAIR_NAMES, PredictionSet
 from .perturb import ScenarioPreset, apply_miscalibration
-from .transform import RigidTransform, apply, compose, invert
+from .transform import RigidTransform, _canonical_sign, apply, compose, invert
 
 __all__ = [
     "RefinementResult",
@@ -163,7 +163,10 @@ def refine_multiframe(
 
 def _aggregate_quaternions(qs: np.ndarray, mode: str) -> np.ndarray:
     # Sign-align to the first quaternion so the component-wise statistic is
-    # invariant to the double cover before renormalizing.
+    # invariant to the double cover before renormalizing.  A quaternion
+    # orthogonal to the first (half a turn away) is aligned by neither sign,
+    # so every row takes its canonical sign first.
+    qs = np.array([_canonical_sign(q) for q in qs])
     aligned = np.where((qs @ qs[0])[:, None] < 0.0, -qs, qs)
     return np.median(aligned, axis=0) if mode == "median" else np.mean(aligned, axis=0)
 

@@ -297,11 +297,14 @@ def project_pinhole(cloud: PointCloud, cfg: ProjectionConfig) -> np.ndarray:
     keep = z > 0.0
     xyz = xyz[keep]
     z = z[keep]
-    u = np.floor(cfg.fx * xyz[:, 0] / z + cfg.cx).astype(np.int64)
-    v = np.floor(cfg.fy * xyz[:, 1] / z + cfg.cy).astype(np.int64)
+    # bounds are checked on the floored floats and only pixels inside are
+    # cast: a tiny positive z sends x / z past the int64 range, or to inf
+    with np.errstate(over="ignore"):
+        u = np.floor(cfg.fx * xyz[:, 0] / z + cfg.cx)
+        v = np.floor(cfg.fy * xyz[:, 1] / z + cfg.cy)
     inside = (u >= 0) & (u < cfg.width) & (v >= 0) & (v < cfg.height)
     r = _ranges(xyz[inside])
-    pix = v[inside] * cfg.width + u[inside]
+    pix = v[inside].astype(np.int64) * cfg.width + u[inside].astype(np.int64)
     if not cloud.schema:
         return _range_image(*_nearest_per_pixel(pix, r, cfg), cfg)
     index = np.flatnonzero(keep)[inside]

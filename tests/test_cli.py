@@ -101,6 +101,29 @@ def test_calibrate_parallel_jobs_match_serial(frames_dir, tmp_path):
     assert filecmp.cmp(serial / "predictions.csv", parallel / "predictions.csv", shallow=False)
 
 
+def test_calibrate_jobs_2_writes_the_files_of_jobs_1(tmp_path):
+    # the joint estimator with its random starts, not a test double: worker
+    # processes must draw the same starts and write the same bytes
+    frame = tmp_path / "frame"
+    assert main(["gen-scene", "--out", str(frame), "--seed", "2", "--lidar-density", "1200"]) == 0
+    args = [
+        "calibrate",
+        "--frames", str(frame),
+        "--scenario", "small",
+        "--estimator", "joint",
+        "--runs", "2",
+        "--seed", "3",
+        "--budget", "120",
+    ]
+    serial, parallel = tmp_path / "serial", tmp_path / "parallel"
+    assert main(args + ["--out", str(serial), "--jobs", "1"]) == 0
+    assert main(args + ["--out", str(parallel), "--jobs", "2"]) == 0
+    assert _tree_files(serial) == _tree_files(parallel)
+    assert len(_tree_files(serial)) == 6
+    for rel in _tree_files(serial):
+        assert (serial / rel).read_bytes() == (parallel / rel).read_bytes(), rel
+
+
 def test_evaluate_reproduces_summary(frames_dir, tmp_path):
     cal = tmp_path / "cal"
     main(
@@ -334,6 +357,31 @@ def test_gen_scene_rejects_out_of_range_numbers(tmp_path, capsys, flag, value, m
     assert main(["gen-scene", "--out", str(out), flag, value]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        # the first frame is already degenerate
+        (["--frames", "3", "--radar-density", "3", "--lidar-density", "500"],
+         "radar sees only 3 points"),
+        # frames 0 and 1 are fine, frame 2 is degenerate
+        (["--seed", "0", "--frames", "3", "--lidar-density", "500", "--radar-density", "14",
+          "--dropout", "0.3"], "radar sees only"),
+    ],
+)
+def test_gen_scene_degenerate_frame_writes_nothing(tmp_path, capsys, args, message):
+    out = tmp_path / "frames"
+    capsys.readouterr()
+    assert main(["gen-scene", "--out", str(out), *args]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert not out.exists()
+    # an existing directory is left exactly as it was
+    out.mkdir()
+    (out / "keep.txt").write_bytes(b"untouched")
+    assert main(["gen-scene", "--out", str(out), *args]) == 2
+    assert [p.name for p in out.rglob("*")] == ["keep.txt"]
+    assert (out / "keep.txt").read_bytes() == b"untouched"
 
 
 @pytest.mark.parametrize(

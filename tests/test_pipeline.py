@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from sensorcal.data import RADAR_CHANNELS, PointCloud
 from sensorcal.dataio import default_sensor_poses, generate_scene, random_scene_spec
@@ -227,6 +229,39 @@ def test_aggregate_handles_quaternion_double_cover():
     agg = aggregate_sequence(preds, mode="median")
     angle = math.degrees(quat_angular_distance(agg.cam_lidar.q, [1, 0, 0, 0]))
     assert abs(angle - 179.0) < 1.0
+
+
+_angles = st.floats(-math.pi, math.pi)
+_rotations = st.builds(EulerPose, roll=_angles, pitch=_angles, yaw=_angles)
+_unit_quats = st.tuples(*[st.floats(-1.0, 1.0)] * 4).filter(
+    lambda q: math.fsum(c * c for c in q) > 1e-6
+)
+
+
+@given(
+    rotations=st.lists(_rotations | _unit_quats, min_size=1, max_size=7),
+    flips=st.lists(st.booleans(), min_size=7, max_size=7),
+    mode=st.sampled_from(["median", "mean"]),
+)
+# a quaternion orthogonal to the first one (a half turn away) is aligned by
+# neither sign, so only its canonical sign makes the result sign-free
+@example(rotations=[(1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0)], flips=[False, True] * 3 + [False],
+         mode="median")
+@example(rotations=[(0.0, 0.0, 1.0, 0.0), (1.0, 0.0, 0.0, 0.0), (0.5, 0.5, 0.5, 0.5)],
+         flips=[True] * 7, mode="mean")
+def test_aggregate_is_invariant_to_quaternion_sign(rotations, flips, mode):
+    # q and -q are one rotation: negating any per-frame quaternion (bypassing
+    # the canonical sign that RigidTransform applies) changes nothing
+    frames = [
+        from_euler(r) if isinstance(r, EulerPose) else RigidTransform(q=r, t=[0.5 * k, 0.0, -1.0])
+        for k, r in enumerate(rotations)
+    ]
+    flipped = [
+        RigidTransform._from_valid(-f.q, f.t) if flip else f for f, flip in zip(frames, flips)
+    ]
+    agg = aggregate_sequence([PredictionSet(cam_lidar=f) for f in frames], mode=mode)
+    agg_flipped = aggregate_sequence([PredictionSet(cam_lidar=f) for f in flipped], mode=mode)
+    assert agg_flipped.cam_lidar == agg.cam_lidar
 
 
 def test_aggregate_median_of_odd_collinear_is_element():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -334,9 +335,33 @@ def test_project_pinhole_bare_equals_rasterize_path(xyz, layout, width, height, 
     # collision_clouds has range ties, float32 ties, zero points and z <= 0
     cfg = ProjectionConfig.pinhole(width, height, focal, 0.5 * focal, *principal)
     cloud = PointCloud.bare(_with_layout(xyz, layout))
-    with np.errstate(invalid="ignore"):  # columns of points near z = 0 overflow int64
+    assert_pinhole_equals_reference(cloud, cfg)
+
+
+def assert_pinhole_equals_reference(cloud, cfg):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         img = project_pinhole(cloud, cfg)
-        assert img.tobytes() == pinhole_rasterize_reference(cloud, cfg).tobytes()
+    with np.errstate(invalid="ignore", over="ignore"):  # the reference casts columns past int64
+        ref = pinhole_rasterize_reference(cloud, cfg)
+    assert img.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("channels", [False, True])
+def test_project_pinhole_points_near_the_image_plane_raise_no_warning(channels):
+    # x / z beyond the int64 range (1e-300) and beyond the float range
+    # (subnormal z), next to points that land inside the raster
+    tiny = np.array([1e-300, 5e-324, 2.2e-308, 1e-20])
+    xyz = np.concatenate([
+        np.stack([np.full(4, 3.0), np.full(4, -2.0), tiny], axis=1),
+        np.stack([np.full(4, -40.0), np.zeros(4), tiny], axis=1),
+        [[0.0, 0.0, 1e-300], [0.1, 0.2, 1.0], [-0.3, 0.1, 2.0], [50.0, 50.0, 1e-3]],
+    ])
+    schema = ("intensity",) if channels else ()
+    cfg = ProjectionConfig.pinhole(32, 16, 8.0, 8.0, 16.0, 8.0, schema=schema)
+    cloud = PointCloud(xyz=xyz, channels=np.arange(len(xyz), dtype=float), schema=schema)
+    assert_pinhole_equals_reference(cloud, cfg)
+    assert np.count_nonzero(project_pinhole(cloud, cfg)[..., 0]) == 2
 
 
 def test_project_pinhole_bare_equals_rasterize_path_on_a_camera_cloud():
