@@ -39,7 +39,6 @@ from .estimate import (
     AlignmentCostConfig,
     EstimatorStage,
     alignment_cost,
-    estimate_joint,
     estimate_multiframe,
     estimate_pairwise,
     identity_estimator,
@@ -72,8 +71,6 @@ from .perturb import PRESETS, MiscalBounds, ScenarioPreset, apply_miscalibration
 from .pipeline import (
     accumulate_radar,
     aggregate_sequence,
-    refine_iterative,
-    refine_iterative_detailed,
     refine_multiframe,
     stages_from_preset,
 )

@@ -47,16 +47,14 @@ from .metrics import (
     summary_csv,
 )
 from .perturb import PRESETS, apply_miscalibration, sample_miscalibration
-from .pipeline import (
-    aggregate_sequence,
-    refine_iterative,
-    refine_multiframe,
-    stages_from_preset,
-)
+from .pipeline import aggregate_sequence, refine_multiframe, stages_from_preset
 from .projection import ProjectionConfig, project_pinhole
 from .transform import RigidTransform, apply, invert
 
 DEPTH_SCALE = 80.0
+
+# Not called here: bench/tracing.py wraps sensorcal.cli.refine_iterative by name.
+refine_iterative = refine_multiframe
 
 _SCENARIOS = {
     "small": ("small", False),
@@ -240,26 +238,12 @@ def _build_estimator(name: str, w: LossWeights, cfg: AlignmentCostConfig, seed: 
     raise ValueError(f"unknown estimator {name!r}")
 
 
-def _build_multiframe_estimator(name: str, w: LossWeights, cfg: AlignmentCostConfig, seed: int):
-    from .estimate import estimate_multiframe
-
-    if name in ("oracle", "identity"):
-        single = oracle_estimator if name == "oracle" else identity_estimator
-        return lambda frames, stage: single(frames[0], stage)
-    if name == "joint":
-        return lambda frames, stage: estimate_multiframe(frames, stage, w, cfg, seed=seed)
-    if name == "pairwise":
-        return lambda frames, stage: estimate_multiframe(
-            frames, stage, LossWeights(loop_weight=0.0), cfg, seed=seed
-        )
-    raise ValueError(f"unknown estimator {name!r}")
-
-
 def _calibrate_run(task: dict) -> tuple[int, list[dict]]:
-    """One evaluation run: perturb, refine per frame, optionally aggregate.
+    """One evaluation run: perturb, refine each group of frames, optionally aggregate.
 
-    Module-level and driven by a plain dict so runs can execute in worker
-    processes; rows come back as dicts of primitives.
+    Groups hold --multiframe frames (1 by default) that are estimated
+    together.  Module-level and driven by a plain dict so runs can execute
+    in worker processes; rows come back as dicts of primitives.
     """
     frames, _ = _load_frames(Path(task["frames_dir"]))
     preset = PRESETS[task["preset"]]
@@ -269,8 +253,8 @@ def _calibrate_run(task: dict) -> tuple[int, list[dict]]:
     run = task["run"]
     rigid = task["rigid"]
     rows: list[dict] = []
-    per_frame_preds: list[PredictionSet] = []
-    per_frame_gts: list[PredictionSet] = []
+    per_group_preds: list[PredictionSet] = []
+    per_group_gts: list[PredictionSet] = []
     rng = np.random.default_rng(np.random.SeedSequence((task["seed"], run)))
     bounds = preset.stages[0]
     group_size = task.get("multiframe", 1)
@@ -279,39 +263,29 @@ def _calibrate_run(task: dict) -> tuple[int, list[dict]]:
     if rigid:
         lidar_mis = sample_miscalibration(bounds, rng)
         radar_mis = sample_miscalibration(bounds, rng)
-    if group_size > 1:
-        mf = _build_multiframe_estimator(
-            task["estimator"], w, cfg,
-            seed=int(np.random.SeedSequence((task["seed"], run)).generate_state(1)[0]),
-        )
-        for start in range(0, len(frames), group_size):
-            group = [
-                apply_miscalibration(f, lidar_mis=lidar_mis, radar_mis=radar_mis)
-                for f in frames[start : start + group_size]
-            ]
-            preds = refine_multiframe(group, mf, stages)
-            gts = true_edges(group[0])
-            per_frame_preds.append(preds)
-            per_frame_gts.append(gts)
-            rows.extend(_prediction_rows(run, group[0].index, preds, gts))
-    else:
-        for frame in frames:
-            if not rigid:
-                lidar_mis = sample_miscalibration(bounds, rng)
-                radar_mis = sample_miscalibration(bounds, rng)
-            perturbed = apply_miscalibration(frame, lidar_mis=lidar_mis, radar_mis=radar_mis)
-            est_seed = int(
-                np.random.SeedSequence((task["seed"], run, frame.index)).generate_state(1)[0]
-            )
-            estimator = _build_estimator(task["estimator"], w, cfg, seed=est_seed)
-            preds = refine_iterative(perturbed, estimator, stages)
-            gts = true_edges(perturbed)
-            per_frame_preds.append(preds)
-            per_frame_gts.append(gts)
-            rows.extend(_prediction_rows(run, frame.index, preds, gts))
-    if rigid and len(per_frame_preds) > 1:
-        agg = aggregate_sequence(per_frame_preds, mode=task["aggregate"])
-        rows.extend(_prediction_rows(run, -1, agg, per_frame_gts[0]))
+    for start in range(0, len(frames), group_size):
+        if not rigid:
+            lidar_mis = sample_miscalibration(bounds, rng)
+            radar_mis = sample_miscalibration(bounds, rng)
+        group = [
+            apply_miscalibration(f, lidar_mis=lidar_mis, radar_mis=radar_mis)
+            for f in frames[start : start + group_size]
+        ]
+        # A group of one seeds its estimator from (seed, run, frame index), a
+        # larger group from (seed, run).  These keys fix every recorded
+        # calibration, rigid-small --multiframe 4 included: changing either
+        # changes the predictions of every fixed-seed run.
+        key = (task["seed"], run, group[0].index) if group_size == 1 else (task["seed"], run)
+        seed = int(np.random.SeedSequence(key).generate_state(1)[0])
+        estimator = _build_estimator(task["estimator"], w, cfg, seed=seed)
+        preds = refine_multiframe(group, estimator, stages).final
+        gts = true_edges(group[0])
+        per_group_preds.append(preds)
+        per_group_gts.append(gts)
+        rows.extend(_prediction_rows(run, group[0].index, preds, gts))
+    if rigid and len(per_group_preds) > 1:
+        agg = aggregate_sequence(per_group_preds, mode=task["aggregate"])
+        rows.extend(_prediction_rows(run, -1, agg, per_group_gts[0]))
     return run, rows
 
 
@@ -379,13 +353,13 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     if problem is not None:
         print(f"error: {problem}", file=sys.stderr)
         return 2
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     preset_name, rigid = _SCENARIOS[args.scenario]
     runs = args.runs if args.runs is not None else (50 if rigid else 1)
     if args.multiframe > 1 and not rigid:
         print("error: --multiframe requires a rigid-* scenario", file=sys.stderr)
         return 1
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     task_base = {
         "frames_dir": args.frames,
         "preset": preset_name,
@@ -469,9 +443,9 @@ def _read_predictions(path: Path) -> list[dict]:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    rows = _read_predictions(Path(args.pred))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    rows = _read_predictions(Path(args.pred))
     aggregated = [r for r in rows if r["frame"] == -1]
     records = _rows_to_records(rows, aggregated_only=bool(aggregated))
     by_pair = summarize_by_pair(records)
@@ -502,8 +476,9 @@ def _overlay(frame: FrameSet, edges: PredictionSet, out_path: Path) -> None:
 
 
 def cmd_render(args: argparse.Namespace) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    if "predicted" in args.source and not args.pred:
+        print("error: --pred required for source 'predicted'", file=sys.stderr)
+        return 1
     frames, _ = _load_frames(Path(args.frames))
     pred_edges = None
     if args.pred:
@@ -513,6 +488,8 @@ def cmd_render(args: argparse.Namespace) -> int:
             lidar_radar=calib.get("lidar_radar"),
             radar_cam=calib.get("radar_cam"),
         )
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     for frame in frames:
         for source in args.source:
             if source == "gt":
@@ -524,9 +501,6 @@ def cmd_render(args: argparse.Namespace) -> int:
                     radar_cam=frame.fixed_radar_cam,
                 )
             else:
-                if pred_edges is None:
-                    print("error: --pred required for source 'predicted'", file=sys.stderr)
-                    return 1
                 edges = pred_edges
             _overlay(frame, edges, out / f"frame_{frame.index:03d}_{source}.pgm")
     print(f"wrote overlays to {out}")

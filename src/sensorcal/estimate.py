@@ -3,8 +3,9 @@
 The reference estimator is classical: it projects a source cloud through a
 candidate transform, compares the raster against a target depth image, and
 minimizes that cost with multi-start Nelder-Mead over the Euler-pose box of
-the current stage.  Estimators are callables ``(frame, stage) -> PredictionSet``
-so oracle and identity test doubles plug into the same pipeline slots.
+the current stage.  Estimators are callables ``(frames, stage) -> PredictionSet``
+over a group of rigidly-linked frames (one frame is a list of one), so oracle
+and identity test doubles plug into the same pipeline slots.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ __all__ = [
     "Estimator",
     "EstimatorStage",
     "alignment_cost",
-    "estimate_joint",
     "estimate_multiframe",
     "estimate_pairwise",
     "identity_estimator",
@@ -56,7 +56,7 @@ __all__ = [
     "true_edges",
 ]
 
-Estimator = Callable[[FrameSet, "EstimatorStage"], PredictionSet]
+Estimator = Callable[[Sequence[FrameSet], "EstimatorStage"], PredictionSet]
 
 
 @dataclass(frozen=True)
@@ -171,6 +171,8 @@ def _nelder_mead(
 _SCREEN_ROTATION = 0.1
 _SCREEN_TARGET_STEP = 0.06
 _SCREEN_MAX_PER_AXIS = 13
+# starts per multistart search: the identity plus seven screened or sampled
+_N_STARTS = 8
 
 
 def _rotation_screen(
@@ -191,7 +193,6 @@ def _multistart(
     box: np.ndarray,
     budget: int,
     tolerance: float,
-    n_starts: int,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, float]:
     """Identity start plus box samples, refined by Nelder-Mead; best wins.
@@ -203,12 +204,11 @@ def _multistart(
     """
     starts = [np.zeros(box.size)]
     spent = 0
-    if n_starts > 1:
-        if box[0] > _SCREEN_ROTATION:
-            screened, spent = _rotation_screen(cost_fn, box, n_starts - 1)
-            starts.extend(screened)
-        else:
-            starts.extend(rng.uniform(-1.0, 1.0, (n_starts - 1, box.size)) * box)
+    if box[0] > _SCREEN_ROTATION:
+        screened, spent = _rotation_screen(cost_fn, box, _N_STARTS - 1)
+        starts.extend(screened)
+    else:
+        starts.extend(rng.uniform(-1.0, 1.0, (_N_STARTS - 1, box.size)) * box)
     maxfev = max((budget - spent) // len(starts), 1)
     best_x, best_f = starts[0], math.inf
     for x0 in starts:
@@ -230,7 +230,6 @@ def estimate_pairwise(
     stage: EstimatorStage,
     cfg: AlignmentCostConfig,
     *,
-    n_starts: int = 8,
     seed: int = 0,
 ) -> RigidTransform:
     """Recover the transform aligning source onto the target raster.
@@ -255,7 +254,7 @@ def estimate_pairwise(
         return alignment_cost(bare, from_euler_vector(x), coarse_target, coarse_cfg)
 
     coarse_budget = max(stage.budget * 3 // 5, 1)
-    x_coarse, _ = _multistart(coarse_cost, box, coarse_budget, stage.tolerance, n_starts, rng)
+    x_coarse, _ = _multistart(coarse_cost, box, coarse_budget, stage.tolerance, rng)
     fine_budget = max(stage.budget - coarse_budget, 1)
     x_fine, f_fine = _nelder_mead(
         fine_cost, x_coarse, box, fine_budget, stage.tolerance, step_fraction=0.08
@@ -350,7 +349,6 @@ def _build_problems(
     stage: EstimatorStage,
     cfg: AlignmentCostConfig,
 ) -> list[_EdgeProblem]:
-    cams = [_camera_cloud(f) for f in frames]
     crop_margin = stage.bounds.max_rotation + math.atan2(stage.bounds.max_translation, 4.0) + 0.1
     problems = []
     for name in PAIR_NAMES:
@@ -372,10 +370,12 @@ def _build_problems(
             box = _bounds_vector(stage.bounds, _LR_BOX_SCALE)
         else:
             nominal = invert(frames[0].fixed_radar_cam)
-        for frame, cam in zip(frames, cams):
+        # camera clouds are rebuilt per edge rather than held across all
+        # edges: with dense frames they dominate the peak memory
+        for frame in frames:
             pull_back = invert(nominal)
             if name == "cam_lidar":
-                target_cloud = apply(pull_back, cam)
+                target_cloud = apply(pull_back, _camera_cloud(frame))
                 source = frame.lidar.without_channels()
                 axis = pull_back.rotation_matrix() @ np.array([0.0, 0.0, 1.0])
                 source = _frustum_crop(
@@ -385,7 +385,7 @@ def _build_problems(
                 target_cloud = apply(pull_back, frame.lidar.without_channels())
                 source = frame.radar.without_channels()
             else:
-                target_cloud = apply(pull_back, cam)
+                target_cloud = apply(pull_back, _camera_cloud(frame))
                 source = frame.radar.without_channels()
             sources.append(source)
             targets.append(project_equirect(target_cloud, edge_cfg.projection))
@@ -427,9 +427,7 @@ def estimate_multiframe(
     cfg: AlignmentCostConfig,
     *,
     pairs: Iterable[str] = PAIR_NAMES,
-    n_starts: int = 8,
     seed: int = 0,
-    polish_budget: int | None = None,
 ) -> PredictionSet:
     """Shared transform set minimizing the mean per-frame objective.
 
@@ -450,9 +448,7 @@ def estimate_multiframe(
 
     xs: dict[str, np.ndarray] = {}
     for problem in problems:
-        x, f = _multistart(
-            problem.cost, problem.box, stage.budget, stage.tolerance, n_starts, rng
-        )
+        x, f = _multistart(problem.cost, problem.box, stage.budget, stage.tolerance, rng)
         if not math.isfinite(f):
             raise NoOverlapError(f"edge {problem.name}: no raster overlap")
         xs[problem.name] = x
@@ -501,26 +497,14 @@ def estimate_multiframe(
     start = candidates[int(np.argmin(scores))]
 
     box = np.concatenate([p.box for p in problems])
-    budget = polish_budget if polish_budget is not None else stage.budget
     x_polished, f_polished = _nelder_mead(
-        joint_cost, start, box, budget, stage.tolerance, step_fraction=0.1
+        joint_cost, start, box, stage.budget, stage.tolerance, step_fraction=0.1
     )
     # Hysteresis: plateau noise in the alignment terms makes sub-0.1%
     # "improvements" meaningless, so only genuine descent replaces the init.
     if not f_polished < f0 * (1.0 - 1e-3):
         return _loop_consistent(preds)
     return _loop_consistent(_predictions(problems, split(x_polished)))
-
-
-def estimate_joint(
-    frame: FrameSet,
-    stage: EstimatorStage,
-    w: LossWeights,
-    cfg: AlignmentCostConfig,
-    **kwargs,
-) -> PredictionSet:
-    """Single-frame joint estimation over all three sensor pairs."""
-    return estimate_multiframe([frame], stage, w, cfg, **kwargs)
 
 
 # --- estimator interface --------------------------------------------------
@@ -537,54 +521,39 @@ def true_edges(frame: FrameSet) -> PredictionSet:
     )
 
 
-def oracle_estimator(frame: FrameSet, stage: EstimatorStage | None = None) -> PredictionSet:
-    """Test double returning the recorded ground truth."""
-    return true_edges(frame)
+def oracle_estimator(
+    frames: Sequence[FrameSet], stage: EstimatorStage | None = None
+) -> PredictionSet:
+    """Test double returning the recorded ground truth of the first frame."""
+    return true_edges(frames[0])
 
 
-def identity_estimator(frame: FrameSet, stage: EstimatorStage | None = None) -> PredictionSet:
+def identity_estimator(
+    frames: Sequence[FrameSet], stage: EstimatorStage | None = None
+) -> PredictionSet:
     """Test double returning identity transforms for every pair."""
     identity = RigidTransform.identity()
     return PredictionSet(cam_lidar=identity, lidar_radar=identity, radar_cam=identity)
 
 
-def joint_estimator(
-    w: LossWeights,
-    cfg: AlignmentCostConfig,
-    *,
-    n_starts: int = 8,
-    seed: int = 0,
-    polish_budget: int | None = None,
-) -> Estimator:
+def joint_estimator(w: LossWeights, cfg: AlignmentCostConfig, *, seed: int = 0) -> Estimator:
     """Bind the joint reference estimator into the pipeline interface."""
 
-    def run(frame: FrameSet, stage: EstimatorStage) -> PredictionSet:
-        return estimate_joint(
-            frame, stage, w, cfg, n_starts=n_starts, seed=seed, polish_budget=polish_budget
-        )
+    def run(frames: Sequence[FrameSet], stage: EstimatorStage) -> PredictionSet:
+        return estimate_multiframe(frames, stage, w, cfg, seed=seed)
 
     return run
 
 
 def pairwise_estimator(
-    cfg: AlignmentCostConfig,
-    *,
-    pairs: Iterable[str] = PAIR_NAMES,
-    n_starts: int = 8,
-    seed: int = 0,
+    cfg: AlignmentCostConfig, *, pairs: Iterable[str] = PAIR_NAMES, seed: int = 0
 ) -> Estimator:
     """Independent per-pair estimation without the loop-closure polish."""
     pairs = tuple(pairs)
 
-    def run(frame: FrameSet, stage: EstimatorStage) -> PredictionSet:
+    def run(frames: Sequence[FrameSet], stage: EstimatorStage) -> PredictionSet:
         return estimate_multiframe(
-            [frame],
-            stage,
-            LossWeights(loop_weight=0.0),
-            cfg,
-            pairs=pairs,
-            n_starts=n_starts,
-            seed=seed,
+            frames, stage, LossWeights(loop_weight=0.0), cfg, pairs=pairs, seed=seed
         )
 
     return run

@@ -18,18 +18,14 @@ __all__ = [
     "RefinementResult",
     "accumulate_radar",
     "aggregate_sequence",
-    "refine_iterative",
-    "refine_iterative_detailed",
     "refine_multiframe",
     "sensor_corrections",
     "stages_from_preset",
 ]
 
 
-def stages_from_preset(
-    preset: ScenarioPreset, budget: int = 1600, tolerance: float = 1e-5
-) -> tuple[EstimatorStage, ...]:
-    return tuple(EstimatorStage(bounds=b, budget=budget, tolerance=tolerance) for b in preset.stages)
+def stages_from_preset(preset: ScenarioPreset, budget: int = 1600) -> tuple[EstimatorStage, ...]:
+    return tuple(EstimatorStage(bounds=b, budget=budget) for b in preset.stages)
 
 
 def sensor_corrections(
@@ -68,18 +64,19 @@ class RefinementResult:
     radar_total: RigidTransform
 
 
-def _refine_group(
+def refine_multiframe(
     frames: Sequence[FrameSet],
-    estimate_stage,
-    stages: Sequence[EstimatorStage] | ScenarioPreset,
+    estimator: Estimator,
+    stages: Sequence[EstimatorStage],
 ) -> RefinementResult:
-    """Shared staged-refinement loop over a group of rigidly-linked frames.
+    """Run the estimator stage by stage over rigidly-linked frames.
 
-    estimate_stage is (frames, stage) -> PredictionSet; corrections derived
-    from each stage's predictions are applied to every frame in the group.
+    The frames must share one miscalibration; one frame is a list of one.
+    After every stage but the last, every frame is re-transformed by the
+    inverse of that stage's implied sensor corrections, so the remaining
+    miscalibration fits the next (tighter) stage box.  The final edges equal
+    the left-to-right composition of all per-stage corrections.
     """
-    if isinstance(stages, ScenarioPreset):
-        stages = stages_from_preset(stages)
     if not stages:
         raise ValueError("refinement needs at least one stage")
 
@@ -91,7 +88,7 @@ def _refine_group(
     corrections: list[tuple[RigidTransform, RigidTransform]] = []
     for s, stage in enumerate(stages):
         try:
-            preds = estimate_stage(cur, stage)
+            preds = estimator(cur, stage)
         except NoOverlapError as exc:
             raise NoOverlapError(f"stage {s}: {exc}") from exc
         m_lidar, m_radar = sensor_corrections(preds, cur[0])
@@ -123,42 +120,6 @@ def _refine_group(
         lidar_total=compose(lidar_before, m_lidar),
         radar_total=compose(radar_before, m_radar),
     )
-
-
-def refine_iterative_detailed(
-    frame: FrameSet,
-    estimator: Estimator,
-    stages: Sequence[EstimatorStage] | ScenarioPreset,
-) -> RefinementResult:
-    """Run the estimator stage by stage, shrinking the residual each time.
-
-    After every stage but the last, the clouds are re-transformed by the
-    inverse of that stage's implied sensor corrections, so the remaining
-    miscalibration fits the next (tighter) stage box.  The final edges equal
-    the left-to-right composition of all per-stage corrections.
-    """
-    return _refine_group([frame], lambda frames, stage: estimator(frames[0], stage), stages)
-
-
-def refine_iterative(
-    frame: FrameSet,
-    estimator: Estimator,
-    stages: Sequence[EstimatorStage] | ScenarioPreset,
-) -> PredictionSet:
-    return refine_iterative_detailed(frame, estimator, stages).final
-
-
-def refine_multiframe(
-    frames: Sequence[FrameSet],
-    estimate_stage,
-    stages: Sequence[EstimatorStage] | ScenarioPreset,
-) -> PredictionSet:
-    """Staged refinement where each stage estimates over all frames at once.
-
-    estimate_stage is (frames, stage) -> PredictionSet, typically a binding
-    of estimate_multiframe; the frames must share one miscalibration.
-    """
-    return _refine_group(frames, estimate_stage, stages).final
 
 
 def _aggregate_quaternions(qs: np.ndarray, mode: str) -> np.ndarray:

@@ -27,7 +27,7 @@ from sensorcal.dataio import (
 from sensorcal.estimate import (
     AlignmentCostConfig,
     EstimatorStage,
-    estimate_joint,
+    estimate_multiframe,
     estimate_pairwise,
     pairwise_estimator,
     true_edges,
@@ -42,7 +42,7 @@ from sensorcal.loss import (
 )
 from sensorcal.metrics import ErrorRecord, error_record, format_summary_table, summarize, summarize_by_pair
 from sensorcal.perturb import PRESETS, MiscalBounds, apply_miscalibration, sample_miscalibration
-from sensorcal.pipeline import aggregate_sequence, refine_iterative_detailed, stages_from_preset
+from sensorcal.pipeline import aggregate_sequence, refine_multiframe, stages_from_preset
 from sensorcal.projection import (
     ProjectionConfig,
     SphericalCoord,
@@ -231,7 +231,7 @@ def test_criterion_5_iterative_refinement():
         frame = apply_miscalibration(frame, lidar_mis=sample_miscalibration(stages[0].bounds, rng))
         gt = true_edges(frame).cam_lidar
         estimator = pairwise_estimator(estimator_cfg, pairs=("cam_lidar",), seed=i)
-        detail = refine_iterative_detailed(frame, estimator, stages)
+        detail = refine_multiframe([frame], estimator, stages)
         final = error_record(detail.final.cam_lidar, gt, "cam_lidar")
         stage1 = error_record(detail.stage_predictions[0].cam_lidar, gt, "cam_lidar")
         finals.append(final)
@@ -275,8 +275,8 @@ def test_criterion_6_joint_vs_pairwise_direction():
             radar_mis=sample_miscalibration(stage.bounds, rng),
         )
         gt = true_edges(frame).radar_cam
-        pair = estimate_joint(frame, stage, LossWeights(loop_weight=0.0), cfg, seed=i)
-        joint = estimate_joint(frame, stage, W, cfg, seed=i)
+        pair = estimate_multiframe([frame], stage, LossWeights(loop_weight=0.0), cfg, seed=i)
+        joint = estimate_multiframe([frame], stage, W, cfg, seed=i)
         if _edge_scalar(joint.radar_cam, gt) <= _edge_scalar(pair.radar_cam, gt):
             wins += 1
     ok = wins >= 0.6 * trials
@@ -307,7 +307,7 @@ def test_criterion_7_rigid_aggregation():
         for frame in frames:
             perturbed = apply_miscalibration(frame, radar_mis=radar_mis)
             gt = true_edges(perturbed).radar_cam
-            per_frame.append(estimator(perturbed, stage))
+            per_frame.append(estimator([perturbed], stage))
             frame_records.append(error_record(per_frame[-1].radar_cam, gt, "radar_cam"))
         agg = aggregate_sequence(per_frame, mode="median")
         agg_records.append(error_record(agg.radar_cam, gt, "radar_cam"))

@@ -205,6 +205,7 @@ def test_calibrate_multiframe_rigid(frames_dir, tmp_path):
         ]
     )
     assert code == 1
+    assert not (tmp_path / "bad").exists()
 
 
 def test_render_predicted_requires_pred(frames_dir, tmp_path):
@@ -212,6 +213,67 @@ def test_render_predicted_requires_pred(frames_dir, tmp_path):
         ["render", "--frames", str(frames_dir), "--out", str(tmp_path / "r"), "--source", "predicted"]
     )
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "args, code, message",
+    [
+        (["calibrate", "--frames", "{frames}", "--scenario", "small", "--multiframe", "2"], 1,
+         "error: --multiframe requires a rigid-* scenario"),
+        (["evaluate", "--pred", "{bad}"], 2, "expected the predictions.csv header"),
+        # gt comes first, so a late rejection would already have written its overlay
+        (["render", "--frames", "{frames}", "--source", "gt", "predicted"], 1,
+         "error: --pred required for source 'predicted'"),
+    ],
+    ids=["calibrate", "evaluate", "render"],
+)
+def test_rejected_command_writes_nothing(frames_dir, tmp_path, capsys, args, code, message):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("run,frame\n")
+    args = [a.format(frames=frames_dir, bad=bad) for a in args]
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main([*args, "--out", str(out)]) == code
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+    # an existing directory is left exactly as it was
+    out.mkdir()
+    (out / "keep.txt").write_bytes(b"untouched")
+    assert main([*args, "--out", str(out)]) == code
+    assert [p.name for p in out.rglob("*")] == ["keep.txt"]
+
+
+@pytest.mark.parametrize(
+    "scenario, multiframe, keys",
+    [
+        ("small", 1, lambda seed, run: [(seed, run, 0), (seed, run, 1)]),
+        ("rigid-small", 1, lambda seed, run: [(seed, run, 0), (seed, run, 1)]),
+        ("rigid-small", 2, lambda seed, run: [(seed, run)]),
+    ],
+    ids=["per-frame", "rigid-per-frame", "rigid-multiframe-2"],
+)
+def test_calibrate_run_estimator_seeds(frames_dir, monkeypatch, scenario, multiframe, keys):
+    """Groups of one seed from (seed, run, frame index), larger groups from (seed, run)."""
+    from sensorcal import cli
+
+    seeds = []
+    build = cli._build_estimator
+
+    def recording(name, w, cfg, seed):
+        seeds.append(seed)
+        return build(name, w, cfg, seed=seed)
+
+    monkeypatch.setattr(cli, "_build_estimator", recording)
+    preset, rigid = cli._SCENARIOS[scenario]
+    task = {
+        "frames_dir": str(frames_dir), "preset": preset, "rigid": rigid, "aggregate": "median",
+        "estimator": "oracle", "loop_weight": 0.25, "budget": 1600, "seed": 13,
+        "multiframe": multiframe, "run": 3,
+    }
+    cli._calibrate_run(task)
+    assert seeds == [
+        int(np.random.SeedSequence(key).generate_state(1)[0]) for key in keys(13, 3)
+    ]
 
 
 def test_missing_input_is_diagnosed(tmp_path):

@@ -15,10 +15,10 @@ from sensorcal.estimate import (
     EstimatorStage,
     _build_problems,
     alignment_cost,
-    estimate_joint,
     estimate_multiframe,
     estimate_pairwise,
     identity_estimator,
+    joint_estimator,
     oracle_estimator,
     true_edges,
 )
@@ -223,11 +223,11 @@ def test_pairwise_no_overlap_raises():
 
 def test_oracle_and_identity_estimators(perturbed):
     gt = true_edges(perturbed)
-    oracle = oracle_estimator(perturbed)
+    oracle = oracle_estimator([perturbed])
     for name, value in oracle.present():
         assert np.allclose(value.q, gt.get(name).q)
         assert np.allclose(value.t, gt.get(name).t)
-    ident = identity_estimator(perturbed)
+    ident = identity_estimator([perturbed])
     for _, value in ident.present():
         assert np.allclose(value.matrix(), np.eye(4))
 
@@ -235,7 +235,7 @@ def test_oracle_and_identity_estimators(perturbed):
 def test_joint_small_miscalibration_closes_loop(perturbed):
     cfg = AlignmentCostConfig()
     stage = EstimatorStage(bounds=SMALL, budget=1200)
-    preds = estimate_joint(perturbed, stage, LossWeights(), cfg, seed=3)
+    preds = estimate_multiframe([perturbed], stage, LossWeights(), cfg, seed=3)
     loop = loop_transform(preds)
     assert quat_angular_distance(loop.q, [1, 0, 0, 0]) < math.radians(0.5)
     assert translation_distance(loop.t, [0, 0, 0]) < 0.05
@@ -245,12 +245,12 @@ def test_joint_lambda_zero_equals_pairwise(perturbed):
     cfg = AlignmentCostConfig()
     stage = EstimatorStage(bounds=SMALL, budget=800)
     w0 = LossWeights(loop_weight=0.0)
-    a = estimate_joint(perturbed, stage, w0, cfg, seed=5)
-    b = estimate_joint(perturbed, stage, w0, cfg, seed=5)
+    a = estimate_multiframe([perturbed], stage, w0, cfg, seed=5)
+    b = estimate_multiframe([perturbed], stage, w0, cfg, seed=5)
     assert np.array_equal(a.cam_lidar.q, b.cam_lidar.q)
     # with loop weight > 0 the guard keeps the loop residual from worsening
     w = LossWeights()
-    joint = estimate_joint(perturbed, stage, w, cfg, seed=5)
+    joint = estimate_multiframe([perturbed], stage, w, cfg, seed=5)
     from sensorcal.loss import param_loss
 
     identity = RigidTransform.identity()
@@ -263,7 +263,8 @@ def test_multiframe_k1_equals_joint(perturbed):
     cfg = AlignmentCostConfig()
     stage = EstimatorStage(bounds=SMALL, budget=600)
     w = LossWeights()
-    single = estimate_joint(perturbed, stage, w, cfg, seed=9)
+    # the bound estimator on a list of one against the solver it binds
+    single = joint_estimator(w, cfg, seed=9)([perturbed], stage)
     multi = estimate_multiframe([perturbed], stage, w, cfg, seed=9)
     for name, value in single.present():
         assert np.array_equal(value.q, multi.get(name).q)

@@ -21,8 +21,7 @@ from sensorcal.perturb import PRESETS, MiscalBounds, apply_miscalibration, sampl
 from sensorcal.pipeline import (
     accumulate_radar,
     aggregate_sequence,
-    refine_iterative,
-    refine_iterative_detailed,
+    refine_multiframe,
     sensor_corrections,
     stages_from_preset,
 )
@@ -70,15 +69,15 @@ def test_single_stage_equals_plain_estimate(perturbed):
     cfg = AlignmentCostConfig()
     estimator = pairwise_estimator(cfg, pairs=("cam_lidar",), seed=2)
     stage = EstimatorStage(bounds=SMALL, budget=400)
-    direct = estimator(perturbed, stage)
-    refined = refine_iterative(perturbed, estimator, [stage])
+    direct = estimator([perturbed], stage)
+    refined = refine_multiframe([perturbed], estimator, [stage]).final
     assert np.allclose(refined.cam_lidar.q, direct.cam_lidar.q, atol=1e-12)
     assert np.allclose(refined.cam_lidar.t, direct.cam_lidar.t, atol=1e-12)
 
 
 def test_oracle_fixed_point(perturbed):
     stages = stages_from_preset(PRESETS["refine"])
-    detail = refine_iterative_detailed(perturbed, oracle_estimator, stages)
+    detail = refine_multiframe([perturbed], oracle_estimator, stages)
     gt = true_edges(perturbed)
     for name, value in detail.final.present():
         assert np.allclose(value.q, gt.get(name).q, atol=1e-9)
@@ -91,7 +90,7 @@ def test_oracle_fixed_point(perturbed):
 
 def test_identity_estimator_changes_nothing(perturbed):
     stages = stages_from_preset(PRESETS["small"])
-    preds = refine_iterative(perturbed, identity_estimator, stages)
+    preds = refine_multiframe([perturbed], identity_estimator, stages).final
     for _, value in preds.present():
         assert np.allclose(value.matrix(), np.eye(4))
 
@@ -103,7 +102,7 @@ def test_final_equals_composition_of_stage_corrections(perturbed):
         EstimatorStage(bounds=SMALL, budget=400),
         EstimatorStage(bounds=MiscalBounds(0.1, math.radians(0.5)), budget=400),
     ]
-    detail = refine_iterative_detailed(perturbed, estimator, stages)
+    detail = refine_multiframe([perturbed], estimator, stages)
     lidar_total = RigidTransform.identity()
     radar_total = RigidTransform.identity()
     for m_lidar, m_radar in detail.corrections:
@@ -120,26 +119,18 @@ def test_final_equals_composition_of_stage_corrections(perturbed):
 
 
 def test_refine_propagates_no_overlap_with_stage_index(perturbed):
-    def failing(frame, stage):
+    def failing(frames, stage):
         raise NoOverlapError("nothing to see")
 
     with pytest.raises(NoOverlapError, match="stage 0"):
-        refine_iterative(perturbed, failing, stages_from_preset(PRESETS["small"]))
+        refine_multiframe([perturbed], failing, stages_from_preset(PRESETS["small"]))
 
 
 def test_refine_multiframe_group(perturbed):
-    from sensorcal.estimate import estimate_multiframe
-    from sensorcal.loss import LossWeights
-    from sensorcal.pipeline import refine_multiframe
-
-    cfg = AlignmentCostConfig()
     stages = [EstimatorStage(bounds=SMALL, budget=400)]
-
-    def mf_estimator(frames, stage):
-        return estimate_multiframe(frames, stage, LossWeights(loop_weight=0.0), cfg, seed=6)
-
-    group = refine_multiframe([perturbed, perturbed], mf_estimator, stages)
-    single = refine_multiframe([perturbed], mf_estimator, stages)
+    estimator = pairwise_estimator(AlignmentCostConfig(), seed=6)
+    group = refine_multiframe([perturbed, perturbed], estimator, stages).final
+    single = refine_multiframe([perturbed], estimator, stages).final
     # identical frames: the group objective is the same function of the shared
     # transform, so the result matches the single-frame run exactly
     for name, value in single.present():
