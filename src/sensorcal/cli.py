@@ -102,8 +102,12 @@ def _frame_dirs(root: Path, n_frames: int) -> list[Path]:
     return [root / f"frame_{k:03d}" for k in range(n_frames)]
 
 
+def _read_manifest(root: Path) -> dict:
+    return json.loads((root / "manifest.json").read_text(encoding="ascii"))
+
+
 def _load_frames(root: Path) -> tuple[list[FrameSet], dict]:
-    manifest = json.loads((root / "manifest.json").read_text(encoding="ascii"))
+    manifest = _read_manifest(root)
     camera = _camera_from_manifest(manifest["camera"])
     scale = manifest["camera"]["depth_scale"]
     dirs = _frame_dirs(root, manifest["frames"])
@@ -358,6 +362,8 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     if args.multiframe > 1 and not rigid:
         print("error: --multiframe requires a rigid-* scenario", file=sys.stderr)
         return 1
+    # a missing or unreadable --frames fails here, before --out is created
+    _read_manifest(Path(args.frames))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     task_base = {

@@ -23,7 +23,14 @@ from .errors import (
     ParseError,
     SizeMismatchError,
 )
-from .projection import ProjectionConfig, _ranges, project_pinhole
+from .projection import (
+    ProjectionConfig,
+    _merge_nearest,
+    _range_image,
+    _ranges,
+    _row_blocks,
+    pinhole_range_pixels,
+)
 from .transform import RigidTransform, compose, invert
 
 __all__ = [
@@ -318,12 +325,43 @@ def _lidar_grid(density: int, elevation: tuple[float, float]) -> np.ndarray:
     )
 
 
-def _camera_rays(cfg: ProjectionConfig) -> np.ndarray:
-    u, v = np.meshgrid(np.arange(cfg.width), np.arange(cfg.height))
+def _camera_rays(cfg: ProjectionConfig, row0: int, row1: int) -> np.ndarray:
+    """Unit rays through the pixel centres of image rows [row0, row1)."""
+    u, v = np.meshgrid(np.arange(cfg.width), np.arange(row0, row1))
     dx = (u.ravel() + 0.5 - cfg.cx) / cfg.fx
     dy = (v.ravel() + 0.5 - cfg.cy) / cfg.fy
     dirs = np.stack([dx, dy, np.ones_like(dx)], axis=1)
     return dirs / _ranges(dirs)[:, None]
+
+
+def _cast_from(
+    spec: SceneSpec, pose: RigidTransform, dirs_sensor: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Hit distances, primitive indices and sensor-frame directions of the
+    rays from pose that hit something."""
+    # column-major, so the casters read contiguous coordinate columns
+    dirs_world = (pose.rotation_matrix() @ dirs_sensor.T).T
+    t, idx = _cast(pose.t, dirs_world, spec.primitives, spec.max_range)
+    hit = idx >= 0
+    return t[hit], idx[hit], dirs_sensor[hit]
+
+
+def _render_camera(spec: SceneSpec, pose: RigidTransform) -> np.ndarray:
+    """Pinhole depth image of the scene from pose, one ray per pixel.
+
+    Rays are cast and projected one block of image rows at a time and the
+    blocks' nearest ranges merged, which gives the image that all rays at
+    once would: each ray's cast and projection are row-wise.
+    """
+    cfg = spec.camera
+
+    def block(rows: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+        t, _, dirs = _cast_from(spec, pose, _camera_rays(cfg, *rows))
+        return pinhole_range_pixels(dirs * t[:, None], cfg)
+
+    # an iterator, so the merge holds the only reference to each block
+    blocks = map(block, _row_blocks(np.full(cfg.height, cfg.width)))
+    return _range_image(*_merge_nearest(blocks, cfg), cfg)
 
 
 def generate_scene(
@@ -344,15 +382,9 @@ def generate_scene(
     lidar_pose = sensor_poses["lidar"]
     radar_pose = sensor_poses["radar"]
 
-    def cast_from(pose: RigidTransform, dirs_sensor: np.ndarray):
-        # column-major, so the casters read contiguous coordinate columns
-        dirs_world = (pose.rotation_matrix() @ dirs_sensor.T).T
-        t, idx = _cast(pose.t, dirs_world, spec.primitives, spec.max_range)
-        hit = idx >= 0
-        return t[hit], idx[hit], dirs_sensor[hit]
-
     # Lidar: dense angular grid, range noise, constant intensity per primitive.
-    t, idx, dirs = cast_from(lidar_pose, _lidar_grid(spec.lidar_density, spec.lidar_elevation))
+    lidar_dirs = _lidar_grid(spec.lidar_density, spec.lidar_elevation)
+    t, idx, dirs = _cast_from(spec, lidar_pose, lidar_dirs)
     t = t + rng.normal(0.0, 1.0, t.shape) * spec.lidar_noise
     lidar = PointCloud(
         xyz=dirs * t[:, None],
@@ -366,7 +398,7 @@ def generate_scene(
     radar_dirs = np.stack(
         [np.cos(el) * np.cos(az), np.cos(el) * np.sin(az), np.sin(el)], axis=1
     )
-    t, idx, dirs = cast_from(radar_pose, radar_dirs)
+    t, idx, dirs = _cast_from(spec, radar_pose, radar_dirs)
     t = t + rng.normal(0.0, 1.0, t.shape) * spec.radar_noise
     rcs = np.array([spec.primitives[i].rcs for i in idx]) + rng.normal(0.0, 1.0, t.shape) * spec.rcs_noise
     keep = rng.random(t.shape[0]) >= spec.radar_dropout
@@ -377,8 +409,7 @@ def generate_scene(
     )
 
     # Camera: one ray per pixel, rendered through the pinhole projector.
-    t, idx, dirs = cast_from(cam_pose, _camera_rays(spec.camera))
-    camera_depth = project_pinhole(PointCloud.bare(dirs * t[:, None]), spec.camera)
+    camera_depth = _render_camera(spec, cam_pose)
 
     n_camera = int(np.count_nonzero(camera_depth[..., 0] > 0))
     for name, count in (("lidar", len(lidar)), ("radar", len(radar)), ("camera", n_camera)):

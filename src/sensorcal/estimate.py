@@ -24,6 +24,8 @@ from .perturb import MiscalBounds
 from .projection import (
     ProjectionConfig,
     _check_schema,
+    _merge_nearest,
+    _row_blocks,
     equirect_range_pixels,
     project_equirect,
     unproject_equirect,
@@ -98,6 +100,8 @@ def alignment_cost(
     candidate: RigidTransform,
     target: np.ndarray,
     cfg: AlignmentCostConfig,
+    *,
+    first_row: int = 0,
 ) -> float:
     """Mean range discrepancy between the projected source and the target.
 
@@ -106,25 +110,37 @@ def alignment_cost(
     fraction.  Returns +inf when fewer than min_overlap pixels overlap, which
     flags candidates whose rasters barely intersect.
 
+    The target may be a band of the raster: its rows are the raster's rows
+    first_row, first_row + 1, ..., and every row outside it is empty.  A
+    full raster is the band that starts at row 0.
+
     Evaluated sparsely over the source's occupied pixels, which is exactly
     equivalent to comparing the two full rasters but does not allocate the
     source image (this runs inside the optimizer loop).
     """
     proj = cfg.projection
-    if target.shape[:2] != (proj.height, proj.width):
+    n_rows = target.shape[0]
+    if target.shape[1] != proj.width or not 0 <= first_row <= proj.height - n_rows:
         raise ValueError("target raster does not match cfg.projection dimensions")
     _check_schema(source, proj)
     pix, src_r = equirect_range_pixels(transform_points(candidate, source.xyz), proj)
     if pix.size == 0:
         return math.inf
-    tgt_r = np.ascontiguousarray(target[..., 0]).reshape(-1)[pix]
+    # pix is sorted, so the source pixels inside the band are one slice; the
+    # others have no target return and drop out of the overlap unchanged.
+    # Only pix.size is read after this, so the slice is shifted in place.
+    offset = first_row * proj.width
+    lo, hi = pix.searchsorted((offset, offset + n_rows * proj.width)).tolist()
+    inside = pix[lo:hi]
+    inside -= offset
+    tgt_r = target[..., 0].ravel()[inside]
     both = tgt_r > 0.0
     n_overlap = int(np.count_nonzero(both))
     if n_overlap < cfg.min_overlap:
         return math.inf
     # np.mean's own arithmetic without its wrapper: a float32 sum divided by
     # an intp count, rounded back to float32
-    diff = np.abs(np.subtract(src_r, tgt_r, out=tgt_r), out=tgt_r)[both]
+    diff = np.abs(np.subtract(src_r[lo:hi], tgt_r, out=tgt_r), out=tgt_r)[both]
     cost = float(np.float32(np.add.reduce(diff) / np.intp(n_overlap)))
     cost += cfg.occupancy_penalty * (pix.size - n_overlap) / pix.size
     return cost
@@ -279,8 +295,35 @@ _LR_BOX_SCALE = 2.5
 _LR_RASTER_SHRINK = 8
 
 
-def _camera_cloud(frame: FrameSet) -> PointCloud:
-    return unproject_pinhole(frame.camera_depth, frame.camera_config)
+def _band(pix: np.ndarray, r: np.ndarray, proj: ProjectionConfig) -> tuple[int, np.ndarray]:
+    """The rows of a range raster that hold a return, and the first of them.
+
+    pix and r are an output of ``_nearest_per_pixel``, so pix is sorted.
+    A raster without returns is an empty band at row 0.
+    """
+    if pix.size == 0:
+        return 0, np.zeros((0, proj.width, 1), dtype=np.float32)
+    first_row, last_row = int(pix[0]) // proj.width, int(pix[-1]) // proj.width
+    band = np.zeros((last_row + 1 - first_row, proj.width, 1), dtype=np.float32)
+    band.reshape(-1)[pix - first_row * proj.width] = r
+    return first_row, band
+
+
+def _camera_target(
+    frame: FrameSet, pull_back: RigidTransform, proj: ProjectionConfig
+) -> tuple[int, np.ndarray]:
+    """Band of ``project_equirect(apply(pull_back, camera cloud), proj)``.
+
+    The camera depth image is unprojected, pulled back and reduced one block
+    of rows at a time, so the whole camera cloud is never held; the blocks'
+    nearest ranges merge into the reduction of the whole cloud.
+    """
+    depth, camera = frame.camera_depth, frame.camera_config
+    blocks = []
+    for row0, row1 in _row_blocks(np.count_nonzero(depth[..., 0] > 0, axis=1)):
+        cloud = unproject_pinhole(depth[row0:row1], camera, first_row=row0)
+        blocks.append(equirect_range_pixels(apply(pull_back, cloud).xyz, proj))
+    return _band(*_merge_nearest(blocks, proj), proj)
 
 
 def _frustum_crop(cloud: PointCloud, axis: np.ndarray, half_angle: float) -> PointCloud:
@@ -305,12 +348,15 @@ def _camera_half_fov(cfg: ProjectionConfig) -> float:
 class _EdgeProblem:
     """One pairwise alignment task: sources per frame, targets per frame.
 
-    Problems compare by identity, like the clouds they hold.
+    targets[k] is the band of rows of frame k's raster that hold a return,
+    and first_rows[k] the raster row it starts at.  Problems compare by
+    identity, like the clouds they hold.
     """
 
     name: str
     sources: tuple[PointCloud, ...]
     targets: tuple[np.ndarray, ...]
+    first_rows: tuple[int, ...]
     nominal: RigidTransform
     cfg: AlignmentCostConfig
     box: np.ndarray
@@ -320,8 +366,8 @@ class _EdgeProblem:
 
     def residual_cost(self, residual: RigidTransform) -> float:
         total = 0.0
-        for source, target in zip(self.sources, self.targets):
-            c = alignment_cost(source, residual, target, self.cfg)
+        for source, target, first_row in zip(self.sources, self.targets, self.first_rows):
+            c = alignment_cost(source, residual, target, self.cfg, first_row=first_row)
             if not math.isfinite(c):
                 return math.inf
             total += c
@@ -355,7 +401,7 @@ def _build_problems(
         if name not in pairs:
             continue
         sources: list[PointCloud] = []
-        targets: list[np.ndarray] = []
+        bands: list[tuple[int, np.ndarray]] = []
         edge_cfg = cfg
         box = _bounds_vector(stage.bounds)
         if name == "cam_lidar":
@@ -370,12 +416,11 @@ def _build_problems(
             box = _bounds_vector(stage.bounds, _LR_BOX_SCALE)
         else:
             nominal = invert(frames[0].fixed_radar_cam)
-        # camera clouds are rebuilt per edge rather than held across all
-        # edges: with dense frames they dominate the peak memory
+        proj = edge_cfg.projection
         for frame in frames:
             pull_back = invert(nominal)
             if name == "cam_lidar":
-                target_cloud = apply(pull_back, _camera_cloud(frame))
+                band = _camera_target(frame, pull_back, proj)
                 source = frame.lidar.without_channels()
                 axis = pull_back.rotation_matrix() @ np.array([0.0, 0.0, 1.0])
                 source = _frustum_crop(
@@ -383,17 +428,19 @@ def _build_problems(
                 )
             elif name == "lidar_radar":
                 target_cloud = apply(pull_back, frame.lidar.without_channels())
+                band = _band(*equirect_range_pixels(target_cloud.xyz, proj), proj)
                 source = frame.radar.without_channels()
             else:
-                target_cloud = apply(pull_back, _camera_cloud(frame))
+                band = _camera_target(frame, pull_back, proj)
                 source = frame.radar.without_channels()
             sources.append(source)
-            targets.append(project_equirect(target_cloud, edge_cfg.projection))
+            bands.append(band)
         problems.append(
             _EdgeProblem(
                 name=name,
                 sources=tuple(sources),
-                targets=tuple(targets),
+                targets=tuple(band for _, band in bands),
+                first_rows=tuple(first_row for first_row, _ in bands),
                 nominal=nominal,
                 cfg=edge_cfg,
                 box=box,

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -23,6 +23,7 @@ __all__ = [
     "default_depth_image",
     "equirect_pixel",
     "equirect_range_pixels",
+    "pinhole_range_pixels",
     "project_equirect",
     "project_pinhole",
     "resize_bilinear",
@@ -227,13 +228,15 @@ def _nearest_per_pixel(
         )
     key = pix.astype(np.uint64)
     key <<= np.uint64(32)
-    key |= r.astype(np.float32).view(np.uint32)
+    key |= r.astype(np.float32, copy=False).view(np.uint32)
     key.sort()
     pix = key >> np.uint64(32)
     first = np.empty(key.size, dtype=bool)
     first[:1] = True
     np.not_equal(pix[1:], pix[:-1], out=first[1:])
-    return pix[first].astype(np.int64), key[first].astype(np.uint32).view(np.float32)
+    # ranges first: their uint64 temporary is gone before the ids are taken
+    r = key[first].astype(np.uint32).view(np.float32)
+    return pix[first].view(np.int64), r
 
 
 def _range_image(pix: np.ndarray, r: np.ndarray, cfg: ProjectionConfig) -> np.ndarray:
@@ -246,6 +249,49 @@ def _range_image(pix: np.ndarray, r: np.ndarray, cfg: ProjectionConfig) -> np.nd
     img = np.zeros((cfg.height, cfg.width, 1), dtype=np.float32)
     img.reshape(-1)[pix] = r
     return img
+
+
+# Camera images are rendered and unprojected this many rows at a time, so
+# the camera path holds one block of points rather than the whole image's:
+# 32 rows of the default 640x320 camera are 20,480 points.
+_BLOCK_ROWS = 32
+
+
+def _row_blocks(points_per_row: np.ndarray) -> list[tuple[int, int]]:
+    """Consecutive row ranges [row0, row1) that cover an image in order.
+
+    Every range but the last spans at least _BLOCK_ROWS rows, and none holds
+    exactly one point unless it is the whole image.  numpy multiplies a lone
+    point by a matrix-vector routine whose bits can differ from those of the
+    same point in a larger product; from two points on, the rotated points
+    of a block are the rows of the whole image's product.
+    """
+    height = len(points_per_row)
+    bounds, n = [0], 0
+    for row, count in enumerate(points_per_row.tolist(), start=1):
+        n += count
+        if row - bounds[-1] >= _BLOCK_ROWS and n >= 2:
+            bounds.append(row)
+            n = 0
+    if n == 1 and len(bounds) > 1:
+        bounds.pop()  # the lone point of the last rows joins the block before
+    if bounds[-1] < height:
+        bounds.append(height)
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
+def _merge_nearest(
+    blocks: Iterable[tuple[np.ndarray, np.ndarray]], cfg: ProjectionConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """One ``_nearest_per_pixel`` output from the outputs of blocks of points.
+
+    Float32 rounding is monotonic, so a pixel's nearest float32 range over
+    all points is the smallest of the blocks' nearest ranges, whatever the
+    order of the blocks; and float32 ranges round to themselves.  The result
+    is the reduction of all the points at once.
+    """
+    pix, r = (np.concatenate(parts) for parts in zip(*blocks))
+    return _nearest_per_pixel(pix, r, cfg)
 
 
 def equirect_range_pixels(xyz: np.ndarray, cfg: ProjectionConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -282,17 +328,11 @@ def project_equirect(cloud: PointCloud, cfg: ProjectionConfig) -> np.ndarray:
     return _rasterize(pix, r, cloud.channels[keep], np.flatnonzero(keep), cfg)
 
 
-def project_pinhole(cloud: PointCloud, cfg: ProjectionConfig) -> np.ndarray:
-    """Pinhole depth image looking along +z; out-of-frustum points are dropped.
-
-    A cloud without channels takes the packed-key reduction of
-    ``_nearest_per_pixel`` (see ``_range_image``); channels need the
-    point-index tie-break of ``_winner_positions``.
-    """
-    if cfg.mode != "pinhole":
-        raise ValueError("project_pinhole requires a pinhole ProjectionConfig")
-    _check_schema(cloud, cfg)
-    xyz = cloud.xyz
+def _pinhole_pixels(
+    xyz: np.ndarray, cfg: ProjectionConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flat pixel ids, float64 ranges and point indices of the points that
+    land inside a pinhole image looking along +z."""
     z = xyz[:, 2]
     keep = z > 0.0
     xyz = xyz[keep]
@@ -305,19 +345,48 @@ def project_pinhole(cloud: PointCloud, cfg: ProjectionConfig) -> np.ndarray:
     inside = (u >= 0) & (u < cfg.width) & (v >= 0) & (v < cfg.height)
     r = _ranges(xyz[inside])
     pix = v[inside].astype(np.int64) * cfg.width + u[inside].astype(np.int64)
+    return pix, r, np.flatnonzero(keep)[inside]
+
+
+def pinhole_range_pixels(xyz: np.ndarray, cfg: ProjectionConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Occupied flat pixel ids and their winning float32 ranges.
+
+    Sparse equivalent of ``project_pinhole(...)[..., 0]`` for a bare cloud,
+    as ``equirect_range_pixels`` is of ``project_equirect``.
+    """
+    pix, r, _ = _pinhole_pixels(np.asarray(xyz, dtype=float), cfg)
+    return _nearest_per_pixel(pix, r, cfg)
+
+
+def project_pinhole(cloud: PointCloud, cfg: ProjectionConfig) -> np.ndarray:
+    """Pinhole depth image looking along +z; out-of-frustum points are dropped.
+
+    A cloud without channels takes the packed-key reduction of
+    ``_nearest_per_pixel`` (see ``_range_image``); channels need the
+    point-index tie-break of ``_winner_positions``.
+    """
+    if cfg.mode != "pinhole":
+        raise ValueError("project_pinhole requires a pinhole ProjectionConfig")
+    _check_schema(cloud, cfg)
     if not cloud.schema:
-        return _range_image(*_nearest_per_pixel(pix, r, cfg), cfg)
-    index = np.flatnonzero(keep)[inside]
+        return _range_image(*pinhole_range_pixels(cloud.xyz, cfg), cfg)
+    pix, r, index = _pinhole_pixels(cloud.xyz, cfg)
     return _rasterize(pix, r, cloud.channels[index], index, cfg)
 
 
-def unproject_pinhole(img: np.ndarray, cfg: ProjectionConfig) -> PointCloud:
-    """Occupied pixels back to a bare camera-frame cloud via pixel-center rays."""
+def unproject_pinhole(img: np.ndarray, cfg: ProjectionConfig, *, first_row: int = 0) -> PointCloud:
+    """Occupied pixels back to a bare camera-frame cloud via pixel-center rays.
+
+    img holds the image rows first_row, first_row + 1, ... of cfg's image,
+    so a block of rows unprojects to the points the whole image gives for
+    those rows.
+    """
     if cfg.mode != "pinhole":
         raise ValueError("unproject_pinhole requires a pinhole ProjectionConfig")
     r = np.asarray(img)[..., 0]
     v, u = np.nonzero(r > 0)
     ranges = r[v, u].astype(float)
+    v += first_row
     dx = (u + 0.5 - cfg.cx) / cfg.fx
     dy = (v + 0.5 - cfg.cy) / cfg.fy
     dirs = np.stack([dx, dy, np.ones_like(dx)], axis=1)

@@ -220,17 +220,19 @@ def test_render_predicted_requires_pred(frames_dir, tmp_path):
     [
         (["calibrate", "--frames", "{frames}", "--scenario", "small", "--multiframe", "2"], 1,
          "error: --multiframe requires a rigid-* scenario"),
+        (["calibrate", "--frames", "{missing}", "--scenario", "small"], 1,
+         "error: [Errno 2] No such file or directory"),
         (["evaluate", "--pred", "{bad}"], 2, "expected the predictions.csv header"),
         # gt comes first, so a late rejection would already have written its overlay
         (["render", "--frames", "{frames}", "--source", "gt", "predicted"], 1,
          "error: --pred required for source 'predicted'"),
     ],
-    ids=["calibrate", "evaluate", "render"],
+    ids=["calibrate", "calibrate-missing-frames", "evaluate", "render"],
 )
 def test_rejected_command_writes_nothing(frames_dir, tmp_path, capsys, args, code, message):
     bad = tmp_path / "bad.csv"
     bad.write_text("run,frame\n")
-    args = [a.format(frames=frames_dir, bad=bad) for a in args]
+    args = [a.format(frames=frames_dir, bad=bad, missing=tmp_path / "missing") for a in args]
     out = tmp_path / "out"
     capsys.readouterr()
     assert main([*args, "--out", str(out)]) == code

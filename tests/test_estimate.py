@@ -13,6 +13,7 @@ from sensorcal.errors import NoOverlapError, SchemaMismatchError
 from sensorcal.estimate import (
     AlignmentCostConfig,
     EstimatorStage,
+    _band,
     _build_problems,
     alignment_cost,
     estimate_multiframe,
@@ -24,13 +25,20 @@ from sensorcal.estimate import (
 )
 from sensorcal.loss import LossWeights, loop_transform
 from sensorcal.perturb import MiscalBounds, apply_miscalibration, sample_miscalibration
-from sensorcal.projection import ProjectionConfig, equirect_range_pixels, project_equirect
+from sensorcal.projection import (
+    ProjectionConfig,
+    equirect_range_pixels,
+    project_equirect,
+    unproject_equirect,
+    unproject_pinhole,
+)
 from sensorcal.transform import (
     EulerPose,
     RigidTransform,
     apply,
     from_euler,
     from_euler_vector,
+    invert,
     quat_angular_distance,
     transform_points,
     translation_distance,
@@ -301,3 +309,105 @@ def test_edge_problems_compare_by_identity(frame):
     assert twin.sources is problem.sources
     assert problem == problem
     assert problem != twin
+
+
+# --- row-band targets ------------------------------------------------------------
+
+_BAND_PROJ = ProjectionConfig.equirect(48, 24)
+
+
+def _pixel_centre_cloud(pix, ranges, proj):
+    """Points whose projection lands on the given flat pixels at the given ranges."""
+    img = np.zeros((proj.height, proj.width, 1), dtype=np.float32)
+    img.reshape(-1)[pix] = ranges
+    return unproject_equirect(img, proj)
+
+
+@st.composite
+def band_cases(draw):
+    """A target whose returns all lie in rows [r0, r1), and a source with
+    pixels on the band's first and last rows, above and below it."""
+    h, w = _BAND_PROJ.height, _BAND_PROJ.width
+    r0 = draw(st.sampled_from([0, h]) | st.integers(0, h))
+    r1 = draw(st.sampled_from([r0, h]) | st.integers(r0, h))
+    target = np.zeros((h, w, 1), dtype=np.float32)
+    if r1 > r0:
+        values = draw(arrays(np.float32, (r1 - r0, w), elements=st.sampled_from([0.0, 2.0, 7.5])))
+        target[r0:r1, :, 0] = values
+    rows = [r for r in (r0 - 1, r0, r1 - 1, r1) if 0 <= r < h]
+    rows += draw(st.lists(st.integers(0, h - 1), max_size=4))
+    cols = draw(st.lists(st.integers(0, w - 1), min_size=1, max_size=12))
+    pix = np.unique([v * w + u for v in rows for u in cols])
+    ranges = draw(arrays(np.float32, pix.size, elements=st.sampled_from([1.0, 2.0, 7.5, 9.0])))
+    return target, r0, r1, _pixel_centre_cloud(pix, ranges, _BAND_PROJ)
+
+
+@given(case=band_cases(), pose=st.tuples(*[st.floats(-0.05, 0.05)] * 6), min_overlap=st.integers(1, 4))
+def test_band_lookup_equals_full_raster_lookup(case, pose, min_overlap):
+    target, r0, r1, source = case
+    cfg = AlignmentCostConfig(min_overlap=min_overlap, projection=_BAND_PROJ)
+    for candidate in (RigidTransform.identity(), from_euler_vector(np.array(pose))):
+        full = alignment_cost(source, candidate, target, cfg)
+        band = alignment_cost(source, candidate, target[r0:r1], cfg, first_row=r0)
+        assert np.float64(band).tobytes() == np.float64(full).tobytes()
+
+
+def test_band_must_fit_the_raster():
+    cfg = AlignmentCostConfig(projection=_BAND_PROJ)
+    source = PointCloud.bare([[1.0, 0.0, 0.0]])
+    band = np.zeros((4, 48, 1), dtype=np.float32)
+    alignment_cost(source, RigidTransform.identity(), band, cfg, first_row=20)
+    for first_row in (-1, 21):
+        with pytest.raises(ValueError):
+            alignment_cost(source, RigidTransform.identity(), band, cfg, first_row=first_row)
+    with pytest.raises(ValueError):
+        alignment_cost(source, RigidTransform.identity(), np.zeros((4, 47, 1), np.float32), cfg)
+
+
+@pytest.mark.parametrize("rows", [[], [0], [23], [0, 23], [3, 3, 9]])
+def test_band_crops_the_raster_to_its_returns(rows):
+    pix = np.array([v * 48 + 5 for v in rows], dtype=np.int64)
+    cloud = _pixel_centre_cloud(pix, np.full(pix.size, 4.0), _BAND_PROJ)
+    full = project_equirect(cloud, _BAND_PROJ)
+    first_row, band = _band(*equirect_range_pixels(cloud.xyz, _BAND_PROJ), _BAND_PROJ)
+    r1 = max(rows) + 1 if rows else 0
+    assert (first_row, band.shape) == (min(rows, default=0), (r1 - min(rows, default=0), 48, 1))
+    assert band.tobytes() == full[first_row:r1].tobytes()
+    assert not full[:first_row].any() and not full[r1:].any()
+
+
+def _lone_pixel_frames(frame):
+    """The frame, and copies whose camera sees a lone pixel in a middle and
+    in the last block of rows, or only one pixel at all."""
+    depth = frame.camera_depth
+    top = np.zeros_like(depth)
+    top[:40] = depth[:40]
+    top[100, 7] = top[300, 600] = 12.0
+    one = np.zeros_like(depth)
+    one[319, 639] = 9.0
+    return [frame] + [replace(frame, camera_depth=d) for d in (top, one)]
+
+
+def test_camera_targets_equal_the_whole_cloud_projection(frame):
+    stage = EstimatorStage(bounds=SMALL)
+    for f in _lone_pixel_frames(frame):
+        cloud = unproject_pinhole(f.camera_depth, f.camera_config)
+        problems = _build_problems([f], ("cam_lidar", "radar_cam"), stage, AlignmentCostConfig())
+        for problem in problems:
+            full = project_equirect(apply(invert(problem.nominal), cloud), problem.cfg.projection)
+            (first_row,), (band,) = problem.first_rows, problem.targets
+            assert band.dtype == np.float32 and band.shape[1:] == (1536, 1)
+            rows = np.flatnonzero(full[..., 0].any(axis=1))
+            assert first_row == rows[0] and first_row + band.shape[0] == rows[-1] + 1
+            assert band.tobytes() == full[first_row : first_row + band.shape[0]].tobytes()
+
+
+def test_lidar_radar_target_is_the_band_of_its_raster(frame):
+    stage = EstimatorStage(bounds=SMALL)
+    (problem,) = _build_problems([frame], ("lidar_radar",), stage, AlignmentCostConfig())
+    lidar = apply(invert(problem.nominal), frame.lidar.without_channels())
+    full = project_equirect(lidar, problem.cfg.projection)
+    (first_row,), (band,) = problem.first_rows, problem.targets
+    last = first_row + band.shape[0]
+    assert band.tobytes() == full[first_row:last].tobytes()
+    assert not full[:first_row].any() and not full[last:].any()

@@ -10,14 +10,18 @@ from hypothesis.extra.numpy import arrays
 from sensorcal.data import PointCloud
 from sensorcal.errors import SchemaMismatchError
 from sensorcal.projection import (
+    _BLOCK_ROWS,
     ProjectionConfig,
     SphericalCoord,
+    _merge_nearest,
     _ranges,
     _rasterize,
+    _row_blocks,
     _winner_positions,
     cart_to_spherical,
     equirect_pixel,
     equirect_range_pixels,
+    pinhole_range_pixels,
     project_equirect,
     project_pinhole,
     resize_bilinear,
@@ -505,3 +509,71 @@ def test_config_validation():
         ProjectionConfig(width=4, height=4, channels=("intensity",))
     with pytest.raises(ValueError):
         ProjectionConfig(width=4, height=4, mode="pinhole")
+
+
+# --- blocks of points ------------------------------------------------------------
+
+
+@given(
+    xyz=collision_clouds(),
+    cuts=st.lists(st.integers(0, 200), max_size=4),
+    width=st.integers(1, 48),
+    height=st.integers(1, 24),
+)
+def test_merged_blocks_equal_the_whole_reduction(xyz, cuts, width, height):
+    # collision clouds hold exact range ties and repeated points, which the
+    # cuts spread over several blocks, in any order
+    cfg = ProjectionConfig.equirect(width, height)
+    bounds = [0, *sorted(min(c, len(xyz)) for c in cuts), len(xyz)]
+    blocks = [equirect_range_pixels(xyz[a:b], cfg) for a, b in zip(bounds[:-1], bounds[1:])]
+    for order in (blocks, blocks[::-1]):
+        pix, r = _merge_nearest(iter(order), cfg)
+        ref_pix, ref_r = equirect_range_pixels(xyz, cfg)
+        assert pix.dtype == ref_pix.dtype and r.dtype == ref_r.dtype
+        assert pix.tobytes() == ref_pix.tobytes() and r.tobytes() == ref_r.tobytes()
+
+
+@given(st.lists(st.integers(0, 3), min_size=1, max_size=4 * _BLOCK_ROWS + 5))
+def test_row_blocks_cover_the_image_and_never_hold_one_point_alone(counts):
+    counts = np.array(counts)
+    blocks = _row_blocks(counts)
+    assert blocks[0][0] == 0 and blocks[-1][1] == len(counts)
+    assert all(a[1] == b[0] for a, b in zip(blocks[:-1], blocks[1:]))
+    assert all(row1 - row0 >= _BLOCK_ROWS for row0, row1 in blocks[:-1])
+    if len(blocks) > 1:
+        assert all(counts[row0:row1].sum() != 1 for row0, row1 in blocks)
+
+
+def test_row_blocks_of_full_rows():
+    assert _row_blocks(np.full(1, 640)) == [(0, 1)]
+    assert _row_blocks(np.full(64, 640)) == [(0, 32), (32, 64)]
+    assert _row_blocks(np.full(65, 640)) == [(0, 32), (32, 64), (64, 65)]
+    # a one-ray last row is cast with the block before it
+    assert _row_blocks(np.full(65, 1)) == [(0, 32), (32, 65)]
+    assert _row_blocks(np.full(33, 1)) == [(0, 33)]
+
+
+def test_unproject_pinhole_of_row_blocks_equals_the_whole_image():
+    cfg = ProjectionConfig.pinhole(48, 70, fx=30.0, fy=31.0, cx=23.5, cy=36.25)
+    rng = np.random.default_rng(21)
+    depth = rng.uniform(0.5, 60.0, (70, 48, 1)).astype(np.float32)
+    depth[rng.random((70, 48)) < 0.4] = 0.0
+    whole = unproject_pinhole(depth, cfg).xyz
+    parts = [
+        unproject_pinhole(depth[row0:row1], cfg, first_row=row0).xyz
+        for row0, row1 in ((0, 1), (1, 32), (32, 33), (33, 70))
+    ]
+    assert np.concatenate(parts).tobytes() == whole.tobytes()
+
+
+@given(
+    xyz=arrays(np.float64, st.tuples(st.integers(0, 60), st.just(3)), elements=st.floats(-20.0, 20.0)),
+    layout=_layouts,
+)
+def test_pinhole_range_pixels_scatter_to_the_image(xyz, layout):
+    cfg = ProjectionConfig.pinhole(24, 16, fx=10.0, fy=10.0, cx=12.0, cy=8.0)
+    pix, r = pinhole_range_pixels(_with_layout(xyz, layout), cfg)
+    assert np.all(np.diff(pix) > 0)
+    img = np.zeros(cfg.height * cfg.width, dtype=np.float32)
+    img[pix] = r
+    assert img.tobytes() == project_pinhole(PointCloud.bare(xyz), cfg).tobytes()

@@ -1,9 +1,10 @@
 """The scene caster against copies of its earlier implementation.
 
-``Box.intersect`` now runs its slab test one coordinate column at a time and
+``Box.intersect`` now runs its slab test one coordinate column at a time,
 ``_cast`` skips the rays whose line passes far from a primitive's bounding
-sphere.  Both must give the bits the earlier code gave, and a culled ray must
-be one the full intersection maps to inf.
+sphere, and the camera is rendered one block of image rows at a time.  All
+must give the bits the earlier code gave, and a culled ray must be one the
+full intersection maps to inf.
 """
 
 import itertools
@@ -21,14 +22,17 @@ from sensorcal.dataio import (
     Box,
     Cylinder,
     GroundPlane,
+    _camera_rays,
     _cast,
     _rays_near,
+    _render_camera,
     default_sensor_poses,
     generate_scene,
     random_scene_spec,
 )
 from sensorcal.errors import DegenerateSceneError
-from sensorcal.projection import ProjectionConfig, project_pinhole
+from sensorcal.projection import _BLOCK_ROWS, ProjectionConfig, _row_blocks, project_pinhole
+from sensorcal.transform import RigidTransform, compose, from_euler_vector
 
 _EPS = 1e-6
 
@@ -99,6 +103,15 @@ def rasterize_pinhole(cloud, cfg):
     """A bare cloud through the channel path of project_pinhole (_rasterize)."""
     padded = PointCloud(xyz=cloud.xyz, channels=np.zeros((len(cloud), 1)), schema=("pad",))
     return project_pinhole(padded, replace(cfg, channels=("range", "pad")))[..., :1].copy()
+
+
+def reference_render_camera(spec, pose):
+    """The camera image as rendered before blocks of rows: every ray at once."""
+    dirs = reference_camera_rays(spec.camera)
+    world = (pose.rotation_matrix() @ dirs.T).T
+    t, idx = reference_cast(pose.t, world, spec.primitives, spec.max_range)
+    hit = idx >= 0
+    return rasterize_pinhole(PointCloud.bare(dirs[hit] * t[hit, None]), spec.camera)
 
 
 # --- ray bundles ---------------------------------------------------------------
@@ -348,8 +361,7 @@ def test_generate_scene_equals_reference_run(spec, monkeypatch):
     frame = run()
     with monkeypatch.context() as patch:
         patch.setattr(dataio, "_cast", reference_cast)
-        patch.setattr(dataio, "_camera_rays", reference_camera_rays)
-        patch.setattr(dataio, "project_pinhole", rasterize_pinhole)
+        patch.setattr(dataio, "_render_camera", reference_render_camera)
         ref = run()
     if isinstance(ref, str):
         assert frame == ref
@@ -364,3 +376,65 @@ def test_generate_scene_equals_reference_run(spec, monkeypatch):
     assert frame.camera_depth.tobytes() == ref.camera_depth.tobytes()
     for name in ("fixed_cam_lidar", "fixed_lidar_radar", "fixed_radar_cam"):
         assert getattr(frame, name) == getattr(ref, name)
+
+
+# --- the camera, rendered one block of rows at a time ---------------------------
+
+
+def _camera(height, width=96):
+    return ProjectionConfig.pinhole(
+        width, height, fx=0.5 * width, fy=0.5 * width, cx=0.5 * width, cy=0.5 * height
+    )
+
+
+def _poses():
+    """The default camera pose and one rolled and pitched off it."""
+    pose = default_sensor_poses()["camera"]
+    return [pose, compose(pose, from_euler_vector([0.2, 0.3, 0.0, 0.0, 0.0, 0.0]))]
+
+
+_HEIGHTS = [1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 320]
+
+
+@pytest.mark.parametrize("height", _HEIGHTS)
+def test_render_in_blocks_equals_whole_image(height):
+    # heights below, at and above one block, and the default camera's
+    spec = random_scene_spec(seed=5, camera=_camera(height, 640 if height == 320 else 96))
+    for pose in _poses():
+        img = _render_camera(spec, pose)
+        ref = reference_render_camera(spec, pose)
+        assert img.dtype == ref.dtype == np.float32
+        assert img.shape == ref.shape
+        assert np.count_nonzero(ref) > 0
+        assert img.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("height", [_BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 1])
+def test_render_of_a_one_pixel_wide_camera_equals_whole_image(height):
+    # one ray in the last rows: it is cast with the block before it
+    spec = random_scene_spec(seed=5, camera=_camera(height, 1))
+    for pose in _poses():
+        assert _render_camera(spec, pose).tobytes() == reference_render_camera(spec, pose).tobytes()
+
+
+@pytest.mark.parametrize("height", _HEIGHTS)
+def test_camera_ray_blocks_are_slices_of_the_whole(height):
+    cfg = _camera(height, 640)
+    blocks = [_camera_rays(cfg, *rows) for rows in _row_blocks(np.full(height, cfg.width))]
+    assert np.concatenate(blocks).tobytes() == reference_camera_rays(cfg).tobytes()
+
+
+def test_rotation_of_a_block_equals_rows_of_the_whole_product():
+    # the transposed product the caster and the target build apply per
+    # block; _row_blocks never leaves a block with one point, whose
+    # matrix-vector product may round differently
+    rng = np.random.default_rng(8)
+    whole_dirs = reference_camera_rays(_camera(320, 640))
+    for pose in [*_poses(), RigidTransform.identity()]:
+        rot = pose.rotation_matrix()
+        whole = (rot @ whole_dirs.T).T
+        for rows in (2, 3, 7, 640, _BLOCK_ROWS * 640, _BLOCK_ROWS * 640 + 3):
+            cuts = np.arange(0, len(whole_dirs) - 1, rows)
+            for start in (0, len(whole_dirs) - rows, *rng.choice(cuts, 4)):
+                block = whole_dirs[start : start + rows]
+                assert ((rot @ block.T).T).tobytes() == whole[start : start + rows].tobytes()

@@ -319,3 +319,28 @@ def test_transforms_compare_by_value_and_stay_unhashable():
     assert RigidTransform.identity() != "identity"
     with pytest.raises(TypeError):
         hash(RigidTransform.identity())
+
+
+# Offsets of the pitch from +-pi/2: the lock itself, inside to_euler's
+# gimbal branch (|sin(pitch)| >= 1 - 1e-12, so cos(pitch) <= sqrt(2e-12),
+# about 1.414e-6), around that threshold, and on to 1e-3.
+_LOCK_OFFSETS = st.sampled_from(
+    [0.0, 1e-12, 1e-9, 1e-7, 1e-6, 1.414e-6, 1.4142e-6, 1.4143e-6, 1.415e-6, 2e-6, 1e-5, 1e-4]
+) | st.floats(0.0, 1e-3)
+_pitches = st.builds(
+    lambda sign, offset: sign * (math.pi / 2 - offset), st.sampled_from([1.0, -1.0]), _LOCK_OFFSETS
+) | st.floats(-math.pi / 2, math.pi / 2)
+
+
+@given(roll=_angles, pitch=_pitches, yaw=_angles, t=st.tuples(*[_translations] * 3))
+def test_se3_round_trips_near_gimbal_lock(roll, pitch, yaw, t):
+    # matrices, not quat_angular_distance: its acos cannot resolve below ~3e-8
+    a = from_euler(EulerPose(roll=roll, pitch=pitch, yaw=yaw, tx=t[0], ty=t[1], tz=t[2]))
+    back = from_euler(to_euler(a))
+    assert back.t.tobytes() == a.t.tobytes()
+    d_rot = np.max(np.abs(back.rotation_matrix() - a.rotation_matrix()))
+    # in the gimbal branch the dropped angle is at most 2 * sqrt(2e-12)
+    assert d_rot <= 3e-6
+    if abs(pitch) <= math.pi / 2 - 1e-4:
+        assert d_rot <= 1e-9
+    assert np.max(np.abs(compose(a, invert(a)).matrix() - np.eye(4))) <= 1e-12
