@@ -102,8 +102,33 @@ def _frame_dirs(root: Path, n_frames: int) -> list[Path]:
     return [root / f"frame_{k:03d}" for k in range(n_frames)]
 
 
+_CAMERA_FIELDS = ("width", "height", "fx", "fy", "cx", "cy", "depth_scale")
+
+
+def _is_number(value: object) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _read_manifest(root: Path) -> dict:
-    return json.loads((root / "manifest.json").read_text(encoding="ascii"))
+    """The frames manifest under root, with the fields that loading frames reads.
+
+    Raises ParseError when the file is not a JSON object, or its ``camera``
+    or ``frames`` field is missing or malformed.
+    """
+    path = root / "manifest.json"
+    try:
+        manifest = json.loads(path.read_text(encoding="ascii"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ParseError(f"{path}: not a JSON manifest ({exc})") from None
+    if not isinstance(manifest, dict):
+        raise ParseError(f"{path}: expected a JSON object")
+    camera = manifest.get("camera")
+    if not isinstance(camera, dict) or not all(_is_number(camera.get(f)) for f in _CAMERA_FIELDS):
+        raise ParseError(f"{path}: 'camera' must be an object with numbers {', '.join(_CAMERA_FIELDS)}")
+    counts = (camera["width"], camera["height"], manifest.get("frames"))
+    if not all(type(n) is int and n >= 1 for n in counts):
+        raise ParseError(f"{path}: camera width and height and 'frames' must be integers >= 1")
+    return manifest
 
 
 def _load_frames(root: Path) -> tuple[list[FrameSet], dict]:

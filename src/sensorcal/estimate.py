@@ -12,14 +12,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .data import FrameSet, PointCloud
 from .errors import NoOverlapError
+# loop_transform is not called here any more; bench/tracing.py wraps the
+# module attribute sensorcal.estimate.loop_transform, so the name stays.
 from .loss import PAIR_NAMES, LossWeights, PredictionSet, loop_transform, param_loss
-from .neldermead import minimize
+from .neldermead import lockstep, minimize, search
 from .perturb import MiscalBounds
 from .projection import (
     ProjectionConfig,
@@ -27,6 +30,7 @@ from .projection import (
     _merge_nearest,
     _row_blocks,
     equirect_range_pixels,
+    equirect_range_pixels_batch,
     project_equirect,
     unproject_equirect,
     unproject_pinhole,
@@ -102,6 +106,7 @@ def alignment_cost(
     cfg: AlignmentCostConfig,
     *,
     first_row: int = 0,
+    projected: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> float:
     """Mean range discrepancy between the projected source and the target.
 
@@ -117,13 +122,19 @@ def alignment_cost(
     Evaluated sparsely over the source's occupied pixels, which is exactly
     equivalent to comparing the two full rasters but does not allocate the
     source image (this runs inside the optimizer loop).
+
+    projected, when given, is ``equirect_range_pixels(transform_points(
+    candidate, source.xyz), cfg.projection)`` as a batch of candidates
+    computed it, and is used up: its pixel ids are changed in place.
     """
     proj = cfg.projection
     n_rows = target.shape[0]
     if target.shape[1] != proj.width or not 0 <= first_row <= proj.height - n_rows:
         raise ValueError("target raster does not match cfg.projection dimensions")
     _check_schema(source, proj)
-    pix, src_r = equirect_range_pixels(transform_points(candidate, source.xyz), proj)
+    if projected is None:
+        projected = equirect_range_pixels(transform_points(candidate, source.xyz), proj)
+    pix, src_r = projected
     if pix.size == 0:
         return math.inf
     # pix is sorted, so the source pixels inside the band are one slice; the
@@ -139,9 +150,10 @@ def alignment_cost(
     if n_overlap < cfg.min_overlap:
         return math.inf
     # np.mean's own arithmetic without its wrapper: a float32 sum divided by
-    # an intp count, rounded back to float32
+    # the count in float64 (the float32 sum and an int count below 2**53
+    # convert exactly), rounded back to float32
     diff = np.abs(np.subtract(src_r[lo:hi], tgt_r, out=tgt_r), out=tgt_r)[both]
-    cost = float(np.float32(np.add.reduce(diff) / np.intp(n_overlap)))
+    cost = float(np.float32(float(np.add.reduce(diff)) / n_overlap))
     cost += cfg.occupancy_penalty * (pix.size - n_overlap) / pix.size
     return cost
 
@@ -159,6 +171,17 @@ def _initial_simplex(x0: np.ndarray, box: np.ndarray, step_fraction: float) -> n
     return simplex
 
 
+def _nm_options(
+    x0: np.ndarray, box: np.ndarray, maxfev: int, tolerance: float, step_fraction: float
+) -> dict:
+    return {
+        "maxfev": maxfev,
+        "fatol": tolerance,
+        "xatol": 1e-7,
+        "initial_simplex": _initial_simplex(x0, box, step_fraction),
+    }
+
+
 def _nelder_mead(
     cost_fn: Callable[[np.ndarray], float],
     x0: np.ndarray,
@@ -169,16 +192,7 @@ def _nelder_mead(
 ) -> tuple[np.ndarray, float]:
     # one call per run, options passed by keyword: bench/tracing.py wraps
     # this module's `minimize` and reads len(x0) and options["maxfev"]
-    return minimize(
-        cost_fn,
-        x0,
-        options={
-            "maxfev": maxfev,
-            "fatol": tolerance,
-            "xatol": 1e-7,
-            "initial_simplex": _initial_simplex(x0, box, step_fraction),
-        },
-    )
+    return minimize(cost_fn, x0, options=_nm_options(x0, box, maxfev, tolerance, step_fraction))
 
 
 # Boxes with rotation bounds beyond this get a rotation-grid screen: uniform
@@ -191,21 +205,21 @@ _SCREEN_MAX_PER_AXIS = 13
 _N_STARTS = 8
 
 
-def _rotation_screen(
-    cost_fn: Callable[[np.ndarray], float], box: np.ndarray, keep: int
-) -> tuple[list[np.ndarray], int]:
+Costs = Callable[[Sequence[np.ndarray]], Sequence[float]]
+
+
+def _rotation_screen(costs: Costs, box: np.ndarray, keep: int) -> tuple[list[np.ndarray], int]:
     """Rank a rotation-only grid by cost and keep the best corners as starts."""
     n = int(np.clip(math.ceil(2.0 * box[0] / _SCREEN_TARGET_STEP) + 1, 3, _SCREEN_MAX_PER_AXIS))
     axis = np.linspace(-box[0], box[0], n)
     grid = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
     probes = np.concatenate([grid, np.zeros_like(grid)], axis=1)
-    costs = np.array([cost_fn(p) for p in probes])
-    ranked = np.argsort(costs, kind="stable")[:keep]
+    ranked = np.argsort(np.array(costs(list(probes))), kind="stable")[:keep]
     return [probes[i] for i in ranked], probes.shape[0]
 
 
 def _multistart(
-    cost_fn: Callable[[np.ndarray], float],
+    costs: Costs,
     box: np.ndarray,
     budget: int,
     tolerance: float,
@@ -213,22 +227,24 @@ def _multistart(
 ) -> tuple[np.ndarray, float]:
     """Identity start plus box samples, refined by Nelder-Mead; best wins.
 
-    For wide rotation boxes the samples come from a coarse rotation-grid
-    screen instead of uniform draws.  Screen evaluations count against the
-    budget, and ties between starts keep the earliest start, so the reduction
-    is deterministic for a fixed seed.
+    costs scores a list of candidates.  For wide rotation boxes the samples
+    come from a coarse rotation-grid screen instead of uniform draws.  Screen
+    evaluations count against the budget.  The starts run in lock-step, so
+    each round's candidates are scored together, and ties between starts
+    keep the earliest start, so the reduction is deterministic for a fixed
+    seed.
     """
     starts = [np.zeros(box.size)]
     spent = 0
     if box[0] > _SCREEN_ROTATION:
-        screened, spent = _rotation_screen(cost_fn, box, _N_STARTS - 1)
+        screened, spent = _rotation_screen(costs, box, _N_STARTS - 1)
         starts.extend(screened)
     else:
         starts.extend(rng.uniform(-1.0, 1.0, (_N_STARTS - 1, box.size)) * box)
     maxfev = max((budget - spent) // len(starts), 1)
+    searches = [search(x0, options=_nm_options(x0, box, maxfev, tolerance, 0.35)) for x0 in starts]
     best_x, best_f = starts[0], math.inf
-    for x0 in starts:
-        x, f = _nelder_mead(cost_fn, x0, box, maxfev, tolerance)
+    for x, f in lockstep(searches, costs):
         if f < best_f:
             best_x, best_f = x, f
     return best_x, best_f
@@ -255,30 +271,32 @@ def estimate_pairwise(
     problem, and the winner is polished against the caller's raster.  The
     returned transform never costs more than the identity candidate.
     """
-    def fine_cost(x: np.ndarray) -> float:
-        return alignment_cost(source, from_euler_vector(x), target, cfg)
-
     box = _bounds_vector(stage.bounds)
     rng = np.random.default_rng(seed)
-
+    identity = RigidTransform.identity()
+    fine = _EdgeProblem("fine", (source,), (target,), (0,), identity, cfg, box)
     coarse_proj = ProjectionConfig.equirect(*_COARSE_SHAPE)
-    coarse_cfg = replace(cfg, projection=coarse_proj)
     coarse_target = project_equirect(unproject_equirect(target, cfg.projection), coarse_proj)
-    bare = source.without_channels()
-
-    def coarse_cost(x: np.ndarray) -> float:
-        return alignment_cost(bare, from_euler_vector(x), coarse_target, coarse_cfg)
+    coarse = _EdgeProblem(
+        "coarse",
+        (source.without_channels(),),
+        (coarse_target,),
+        (0,),
+        identity,
+        replace(cfg, projection=coarse_proj),
+        box,
+    )
 
     coarse_budget = max(stage.budget * 3 // 5, 1)
-    x_coarse, _ = _multistart(coarse_cost, box, coarse_budget, stage.tolerance, rng)
+    x_coarse, _ = _multistart(coarse.costs, box, coarse_budget, stage.tolerance, rng)
     fine_budget = max(stage.budget - coarse_budget, 1)
     x_fine, f_fine = _nelder_mead(
-        fine_cost, x_coarse, box, fine_budget, stage.tolerance, step_fraction=0.08
+        fine.cost, x_coarse, box, fine_budget, stage.tolerance, step_fraction=0.08
     )
     candidates = [
         (f_fine, 0, x_fine),
-        (fine_cost(x_coarse), 1, x_coarse),
-        (fine_cost(np.zeros(6)), 2, np.zeros(6)),
+        (fine.cost(x_coarse), 1, x_coarse),
+        (fine.cost(np.zeros(6)), 2, np.zeros(6)),
     ]
     f_best, _, x_best = min(candidates, key=lambda c: (c[0], c[1]))
     if not math.isfinite(f_best):
@@ -361,13 +379,47 @@ class _EdgeProblem:
     cfg: AlignmentCostConfig
     box: np.ndarray
 
-    def cost(self, x: np.ndarray) -> float:
-        return self.residual_cost(from_euler_vector(x))
+    @cached_property
+    def _points(self) -> int:
+        return sum(len(source) for source in self.sources)
 
-    def residual_cost(self, residual: RigidTransform) -> float:
+    @cached_property
+    def _nominal_inverse(self) -> RigidTransform:
+        return invert(self.nominal)
+
+    def cost(self, x: np.ndarray) -> float:
+        return self.costs([x])[0]
+
+    def costs(self, xs: Sequence[np.ndarray]) -> list[float]:
+        """Mean alignment cost over the frames of each candidate.
+
+        Candidates are projected in batches of about _BATCH_POINTS points,
+        and at least one candidate, so a batch's temporaries stay small.
+        """
+        per_batch = max(_BATCH_POINTS // max(self._points, 1), 1)
+        out = []
+        for k in range(0, len(xs), per_batch):
+            residuals = [from_euler_vector(x) for x in xs[k : k + per_batch]]
+            projected = _projected([(self, residual) for residual in residuals])
+            out.extend(map(self.compare, residuals, projected))
+        return out
+
+    def compare(
+        self, residual: RigidTransform, projected: Sequence[tuple[np.ndarray, np.ndarray]]
+    ) -> float:
+        """Mean alignment cost of the sources projected through residual.
+
+        projected holds the projection of each source (see ``_projected``).
+        One ``alignment_cost`` call per frame, up to the first frame without
+        enough overlap, which makes the cost +inf.
+        """
         total = 0.0
-        for source, target, first_row in zip(self.sources, self.targets, self.first_rows):
-            c = alignment_cost(source, residual, target, self.cfg, first_row=first_row)
+        for source, target, first_row, pixels in zip(
+            self.sources, self.targets, self.first_rows, projected
+        ):
+            c = alignment_cost(
+                source, residual, target, self.cfg, first_row=first_row, projected=pixels
+            )
             if not math.isfinite(c):
                 return math.inf
             total += c
@@ -379,14 +431,71 @@ class _EdgeProblem:
     def residual_edge(self, residual: RigidTransform) -> RigidTransform:
         if self.name == "radar_cam":
             # solved in the cam<-radar direction, so report the inverse edge
-            return compose(invert(residual), invert(self.nominal))
+            return compose(invert(residual), self._nominal_inverse)
         return compose(self.nominal, residual)
 
     def coords(self, edge: RigidTransform) -> np.ndarray:
         """Inverse of edge(): the residual coordinates producing this edge."""
         if self.name == "radar_cam":
-            return to_euler(compose(invert(self.nominal), invert(edge))).as_array()
-        return to_euler(compose(invert(self.nominal), edge)).as_array()
+            return to_euler(compose(self._nominal_inverse, invert(edge))).as_array()
+        return to_euler(compose(self._nominal_inverse, edge)).as_array()
+
+
+# Points projected together in one batch of candidates: the batch's
+# temporaries stay near 1.5 MB, while 400-point radar sources still batch
+# about 40 candidates.
+_BATCH_POINTS = 16384
+
+
+def _projected(
+    requests: Sequence[tuple[_EdgeProblem, RigidTransform]],
+) -> list[list[tuple[np.ndarray, np.ndarray]]]:
+    """For each (problem, residual), the projection of each of the problem's
+    sources through the residual: one ``equirect_range_pixels_batch`` per
+    raster size, each result bit-identical to a projection of its own."""
+    by_raster: dict[ProjectionConfig, list[int]] = {}
+    for i, (problem, _) in enumerate(requests):
+        by_raster.setdefault(problem.cfg.projection, []).append(i)
+    out: list = [None] * len(requests)
+    for proj, members in by_raster.items():
+        segments = [
+            (requests[i][1], source.xyz) for i in members for source in requests[i][0].sources
+        ]
+        results = iter(equirect_range_pixels_batch(segments, proj))
+        for i in members:
+            out[i] = [next(results) for _ in requests[i][0].sources]
+    return out
+
+
+def _camera_targets(
+    frames: Sequence[FrameSet],
+    pull_back: RigidTransform,
+    proj: ProjectionConfig,
+    cache: dict | None,
+) -> list[tuple[int, np.ndarray]]:
+    """``_camera_target`` of each frame, reused from cache when possible.
+
+    A camera target depends only on the depth image, the camera, the
+    pull-back and the raster.  ``apply_miscalibration`` keeps the depth
+    image object, so the stages of one refinement find the targets of the
+    first stage; the cache holds those depth images, so an identity test
+    cannot match an array allocated later.
+    """
+    depths = [frame.camera_depth for frame in frames]
+    cameras = [frame.camera_config for frame in frames]
+    key = (pull_back.q.tobytes(), pull_back.t.tobytes(), proj)
+    if cache is not None and key in cache:
+        held_depths, held_cameras, bands = cache[key]
+        if (
+            len(held_depths) == len(depths)
+            and all(a is b for a, b in zip(held_depths, depths))
+            and held_cameras == cameras
+        ):
+            return bands
+    bands = [_camera_target(frame, pull_back, proj) for frame in frames]
+    if cache is not None:
+        cache[key] = (depths, cameras, bands)
+    return bands
 
 
 def _build_problems(
@@ -394,6 +503,7 @@ def _build_problems(
     pairs: Iterable[str],
     stage: EstimatorStage,
     cfg: AlignmentCostConfig,
+    camera_targets: dict | None = None,
 ) -> list[_EdgeProblem]:
     crop_margin = stage.bounds.max_rotation + math.atan2(stage.bounds.max_translation, 4.0) + 0.1
     problems = []
@@ -417,10 +527,11 @@ def _build_problems(
         else:
             nominal = invert(frames[0].fixed_radar_cam)
         proj = edge_cfg.projection
+        pull_back = invert(nominal)
+        if name != "lidar_radar":
+            bands = _camera_targets(frames, pull_back, proj, camera_targets)
         for frame in frames:
-            pull_back = invert(nominal)
             if name == "cam_lidar":
-                band = _camera_target(frame, pull_back, proj)
                 source = frame.lidar.without_channels()
                 axis = pull_back.rotation_matrix() @ np.array([0.0, 0.0, 1.0])
                 source = _frustum_crop(
@@ -428,13 +539,11 @@ def _build_problems(
                 )
             elif name == "lidar_radar":
                 target_cloud = apply(pull_back, frame.lidar.without_channels())
-                band = _band(*equirect_range_pixels(target_cloud.xyz, proj), proj)
+                bands.append(_band(*equirect_range_pixels(target_cloud.xyz, proj), proj))
                 source = frame.radar.without_channels()
             else:
-                band = _camera_target(frame, pull_back, proj)
                 source = frame.radar.without_channels()
             sources.append(source)
-            bands.append(band)
         problems.append(
             _EdgeProblem(
                 name=name,
@@ -475,6 +584,7 @@ def estimate_multiframe(
     *,
     pairs: Iterable[str] = PAIR_NAMES,
     seed: int = 0,
+    camera_targets: dict | None = None,
 ) -> PredictionSet:
     """Shared transform set minimizing the mean per-frame objective.
 
@@ -486,16 +596,20 @@ def estimate_multiframe(
     set is made exactly loop-consistent by deriving the lidar<-radar edge
     from the two camera edges.  With loop_weight == 0 the three pairwise
     solutions are returned untouched.
+
+    camera_targets is a dict that the caller keeps across the stages of one
+    refinement, in which the camera targets are built once (see
+    ``_camera_targets``); without it they are built on every call.
     """
     if not frames:
         raise ValueError("estimate_multiframe needs at least one frame")
     pairs = tuple(pairs)
-    problems = _build_problems(frames, pairs, stage, cfg)
+    problems = _build_problems(frames, pairs, stage, cfg, camera_targets)
     rng = np.random.default_rng(seed)
 
     xs: dict[str, np.ndarray] = {}
     for problem in problems:
-        x, f = _multistart(problem.cost, problem.box, stage.budget, stage.tolerance, rng)
+        x, f = _multistart(problem.costs, problem.box, stage.budget, stage.tolerance, rng)
         if not math.isfinite(f):
             raise NoOverlapError(f"edge {problem.name}: no raster overlap")
         xs[problem.name] = x
@@ -510,17 +624,19 @@ def estimate_multiframe(
         return {p.name: x[6 * i : 6 * i + 6] for i, p in enumerate(problems)}
 
     def joint_cost(x: np.ndarray) -> float:
-        # one candidate per edge serves both its alignment cost and the loop
+        # one candidate per edge serves both its alignment cost and the loop;
+        # the three edges and every frame are projected in one batch per raster
+        residuals = [from_euler_vector(x[6 * i : 6 * i + 6]) for i in range(len(problems))]
+        projected = _projected(list(zip(problems, residuals)))
         total = 0.0
-        preds = PredictionSet()
-        for i, problem in enumerate(problems):
-            residual = from_euler_vector(x[6 * i : 6 * i + 6])
-            c = problem.residual_cost(residual)
+        for problem, residual, pixels in zip(problems, residuals, projected):
+            c = problem.compare(residual, pixels)
             if not math.isfinite(c):
                 return math.inf
             total += c
-            preds = preds.with_pair(problem.name, problem.residual_edge(residual))
-        loop = loop_transform(preds)
+        cam_lidar, lidar_radar, radar_cam = map(_EdgeProblem.residual_edge, problems, residuals)
+        # loop_transform of the three edges, without a PredictionSet
+        loop = compose(compose(cam_lidar, lidar_radar), radar_cam)
         return (1.0 - w.loop_weight) * total + w.loop_weight * param_loss(loop, identity, w)
 
     # Loop-consistent variants of the pairwise init: replace one radar edge
@@ -586,8 +702,10 @@ def identity_estimator(
 def joint_estimator(w: LossWeights, cfg: AlignmentCostConfig, *, seed: int = 0) -> Estimator:
     """Bind the joint reference estimator into the pipeline interface."""
 
+    camera_targets: dict = {}
+
     def run(frames: Sequence[FrameSet], stage: EstimatorStage) -> PredictionSet:
-        return estimate_multiframe(frames, stage, w, cfg, seed=seed)
+        return estimate_multiframe(frames, stage, w, cfg, seed=seed, camera_targets=camera_targets)
 
     return run
 
@@ -598,9 +716,17 @@ def pairwise_estimator(
     """Independent per-pair estimation without the loop-closure polish."""
     pairs = tuple(pairs)
 
+    camera_targets: dict = {}
+
     def run(frames: Sequence[FrameSet], stage: EstimatorStage) -> PredictionSet:
         return estimate_multiframe(
-            frames, stage, LossWeights(loop_weight=0.0), cfg, pairs=pairs, seed=seed
+            frames,
+            stage,
+            LossWeights(loop_weight=0.0),
+            cfg,
+            pairs=pairs,
+            seed=seed,
+            camera_targets=camera_targets,
         )
 
     return run

@@ -1,6 +1,6 @@
 """Nelder-Mead simplex search (Nelder & Mead, 1965) for the edge and polish solves.
 
-``minimize`` repeats scipy 1.17.1's ``_minimize_neldermead`` step for step in
+``search`` repeats scipy 1.17.1's ``_minimize_neldermead`` step for step in
 the one configuration the estimators use: standard coefficients
 (``adaptive=False``), no bounds, no iteration cap, a caller-built initial
 simplex, and ``maxfev``/``xatol``/``fatol``.  Every update is the same numpy
@@ -14,15 +14,24 @@ kept on purpose:
   leaves the vertex it just moved with that vertex's old cost;
 - the simplex is ordered with ``np.argsort`` (not a stable sort), twice
   after the initial evaluations and once per iteration.
+
+``search`` is a generator: it yields each candidate and is sent its cost, so
+the caller decides how candidates are scored.  ``minimize`` scores them one
+at a time; ``lockstep`` advances several searches together and scores each
+round's candidates with one call, which lets a vectorized objective project
+them as one batch.  Both drive the same generator, so a search sees the
+same candidates and ends with the same bits either way.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Generator, Sequence
 
 import numpy as np
 
-__all__ = ["minimize"]
+__all__ = ["lockstep", "minimize", "search"]
+
+Search = Generator[np.ndarray, float, "tuple[np.ndarray, float]"]
 
 # reflection, expansion, contraction and shrink coefficients
 _RHO = 1
@@ -32,24 +41,24 @@ _SIGMA = 0.5
 
 
 def _ordered(sim: np.ndarray, fsim: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    ind = np.argsort(fsim)
-    return np.take(sim, ind, 0), np.take(fsim, ind, 0)
+    # the methods behind np.argsort and np.take, without their wrappers
+    ind = fsim.argsort()
+    return sim.take(ind, 0), fsim.take(ind, 0)
 
 
-def minimize(
-    fun: Callable[[np.ndarray], float], x0: np.ndarray, *, options: dict
-) -> tuple[np.ndarray, float]:
-    """Minimize ``fun`` from ``options["initial_simplex"]``; return ``(x, f)``.
+def search(x0: np.ndarray, *, options: dict) -> Search:
+    """Nelder-Mead from ``options["initial_simplex"]``, as a generator.
 
-    ``options`` holds ``initial_simplex`` (shape ``(N + 1, N)``, evaluated in
-    float64), ``maxfev`` (the evaluation budget), and ``xatol``/``fatol``:
-    the search stops early once every vertex lies within ``xatol`` of the
-    best one in each coordinate and within ``fatol`` of it in cost.  ``x0``
-    only fixes ``N``; the simplex is the start.  ``fun`` receives a new
-    array on every call, never a view of the simplex, and must not modify it
-    (a candidate joins the simplex after its evaluation); it may return
-    ``inf``.  ``x`` is the best vertex and ``f`` the lowest cost in the
-    final simplex.
+    Yields each candidate and expects its cost to be sent back; returns
+    ``(x, f)`` through ``StopIteration``.  ``options`` holds
+    ``initial_simplex`` (shape ``(N + 1, N)``, evaluated in float64),
+    ``maxfev`` (the evaluation budget), and ``xatol``/``fatol``: the search
+    stops early once every vertex lies within ``xatol`` of the best one in
+    each coordinate and within ``fatol`` of it in cost.  ``x0`` only fixes
+    ``N``; the simplex is the start.  Every yielded candidate is a new array,
+    never a view of the simplex, and must not be modified (it joins the
+    simplex after its evaluation); a cost may be ``inf``.  ``x`` is the best
+    vertex and ``f`` the lowest cost in the final simplex.
     """
     maxfev = options["maxfev"]
     xatol = options["xatol"]
@@ -64,27 +73,27 @@ def minimize(
     fsim = np.full((n + 1,), np.inf, dtype=float)
     nfev = min(n + 1, maxfev)
     for k in range(nfev):
-        fsim[k] = fun(sim[k].copy())
+        fsim[k] = yield sim[k].copy()
     sim, fsim = _ordered(sim, fsim)
     sim, fsim = _ordered(sim, fsim)
 
     while nfev < maxfev:
-        # +inf vertices (no overlap) make fsim[0] - fsim[1:] compute inf - inf;
-        # the NaN fails the test, which is what should happen
-        with np.errstate(invalid="ignore"):
-            if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol
-                    and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
-                break
+        if np.abs(sim[1:] - sim[0]).max() <= xatol:
+            # +inf vertices (no overlap) make fsim[0] - fsim[1:] compute
+            # inf - inf; the NaN fails the test, which is what should happen
+            with np.errstate(invalid="ignore"):
+                if np.abs(fsim[0] - fsim[1:]).max() <= fatol:
+                    break
 
         xbar = np.add.reduce(sim[:-1], 0) / n
         xr = (1 + _RHO) * xbar - _RHO * sim[-1]
-        fxr = fun(xr)
+        fxr = yield xr
         nfev += 1
 
         if fxr < fsim[0]:
             if nfev < maxfev:
                 xe = (1 + _RHO * _CHI) * xbar - _RHO * _CHI * sim[-1]
-                fxe = fun(xe)
+                fxe = yield xe
                 nfev += 1
                 if fxe < fxr:
                     sim[-1] = xe
@@ -98,7 +107,7 @@ def minimize(
         elif nfev < maxfev:
             if fxr < fsim[-1]:
                 xc = (1 + _PSI * _RHO) * xbar - _PSI * _RHO * sim[-1]
-                fxc = fun(xc)
+                fxc = yield xc
                 nfev += 1
                 if fxc <= fxr:
                     sim[-1] = xc
@@ -108,7 +117,7 @@ def minimize(
                     shrink = True
             else:
                 xcc = (1 - _PSI) * xbar + _PSI * sim[-1]
-                fxcc = fun(xcc)
+                fxcc = yield xcc
                 nfev += 1
                 if fxcc < fsim[-1]:
                     sim[-1] = xcc
@@ -121,8 +130,46 @@ def minimize(
                     sim[j] = sim[0] + _SIGMA * (sim[j] - sim[0])
                     if nfev >= maxfev:
                         break
-                    fsim[j] = fun(sim[j].copy())
+                    fsim[j] = yield sim[j].copy()
                     nfev += 1
         sim, fsim = _ordered(sim, fsim)
 
     return sim[0], float(np.min(fsim))
+
+
+def minimize(
+    fun: Callable[[np.ndarray], float], x0: np.ndarray, *, options: dict
+) -> tuple[np.ndarray, float]:
+    """Run ``search(x0, options=options)``, scoring each candidate with ``fun``."""
+    return lockstep([search(x0, options=options)], lambda xs: [fun(xs[0])])[0]
+
+
+def lockstep(
+    searches: Sequence[Search], costs: Callable[[list[np.ndarray]], Sequence[float]]
+) -> list[tuple[np.ndarray, float]]:
+    """Advance every search by one candidate per round; return their ``(x, f)``.
+
+    Each round hands the pending candidates of the searches still running,
+    in the order of ``searches``, to one ``costs`` call, which returns their
+    costs in the same order.  A search that finishes drops out of later
+    rounds; the others run on unchanged, so each result equals what
+    ``minimize`` with the same objective returns.
+    """
+    results: list = [None] * len(searches)
+    pending: dict[int, np.ndarray] = {}
+
+    def advance(i: int, cost: float | None) -> None:
+        # sending None starts a generator, as next() does
+        try:
+            pending[i] = searches[i].send(cost)
+        except StopIteration as stop:
+            pending.pop(i, None)
+            results[i] = stop.value
+
+    for i in range(len(searches)):
+        advance(i, None)
+    while pending:
+        order = list(pending)
+        for i, cost in zip(order, costs([pending[i] for i in order]), strict=True):
+            advance(i, cost)
+    return results

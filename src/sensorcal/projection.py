@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .data import PointCloud
 from .errors import SchemaMismatchError
+from .transform import RigidTransform, transform_points
 
 __all__ = [
     "ProjectionConfig",
@@ -23,6 +24,7 @@ __all__ = [
     "default_depth_image",
     "equirect_pixel",
     "equirect_range_pixels",
+    "equirect_range_pixels_batch",
     "pinhole_range_pixels",
     "project_equirect",
     "project_pinhole",
@@ -209,34 +211,58 @@ def _equirect_pix(
     return v
 
 
-def _nearest_per_pixel(
-    pix: np.ndarray, r: np.ndarray, cfg: ProjectionConfig
-) -> tuple[np.ndarray, np.ndarray]:
-    """Occupied flat pixel ids and their nearest float32 ranges (r >= 0).
+def _nearest_per_segment(
+    pix: np.ndarray, r: np.ndarray, seg: np.ndarray | None, n_segments: int, cfg: ProjectionConfig
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per segment, the occupied flat pixel ids and nearest float32 ranges (r >= 0).
 
-    Sorts one uint64 key per point, the pixel id in the high word and the
-    float32 bit pattern of the range in the low word; bit patterns of
-    non-negative floats order like their values, so each pixel's run starts
-    with its winner.  Exact ties that ``_winner_positions`` breaks by point
-    index have equal float32 ranges, so the (pixel, range) pairs and their
-    order are the same.  pix may be integer-valued float64.
+    Sorts one uint64 key per point: the pixel id in the high word, with the
+    point's segment index (``seg``, or 0 when it is None) in the bits above
+    the id, and the float32 bit pattern of the range in the low word.  Bit
+    patterns of non-negative floats order like their values, so each
+    (segment, pixel) run starts with its winner, and each segment's entries
+    are those that a sort of its points alone gives, in the same order.
+    Exact ties that ``_winner_positions`` breaks by point index have equal
+    float32 ranges, so the (pixel, range) pairs and their order are the
+    same.  pix may be integer-valued float64.
     """
-    if cfg.width * cfg.height >= 2**32:
+    n_pixels = cfg.width * cfg.height
+    if n_pixels >= 2**32:
         raise ValueError(
             f"raster {cfg.width}x{cfg.height} has 2**32 or more pixels, "
             "too many for the packed sort key"
         )
+    shift = (n_pixels - 1).bit_length()
+    if n_segments << shift > 2**32:
+        raise ValueError(f"{n_segments} segments do not fit the packed sort key")
     key = pix.astype(np.uint64)
+    if seg is not None:
+        key |= seg << np.uint64(shift)
     key <<= np.uint64(32)
     key |= r.astype(np.float32, copy=False).view(np.uint32)
     key.sort()
-    pix = key >> np.uint64(32)
+    ids = key >> np.uint64(32)
     first = np.empty(key.size, dtype=bool)
     first[:1] = True
-    np.not_equal(pix[1:], pix[:-1], out=first[1:])
+    np.not_equal(ids[1:], ids[:-1], out=first[1:])
     # ranges first: their uint64 temporary is gone before the ids are taken
     r = key[first].astype(np.uint32).view(np.float32)
-    return pix[first].view(np.int64), r
+    ids = ids[first]
+    if n_segments == 1:
+        return [(ids.view(np.int64), r)]
+    starts = np.arange(n_segments + 1, dtype=np.uint64) << np.uint64(shift)
+    bounds = ids.searchsorted(starts).tolist()
+    ids &= np.uint64((1 << shift) - 1)
+    ids = ids.view(np.int64)
+    return [(ids[a:b], r[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
+
+
+def _nearest_per_pixel(
+    pix: np.ndarray, r: np.ndarray, cfg: ProjectionConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """Occupied flat pixel ids and their nearest float32 ranges (r >= 0): the
+    one segment of ``_nearest_per_segment``."""
+    return _nearest_per_segment(pix, r, None, 1, cfg)[0]
 
 
 def _range_image(pix: np.ndarray, r: np.ndarray, cfg: ProjectionConfig) -> np.ndarray:
@@ -302,13 +328,56 @@ def equirect_range_pixels(xyz: np.ndarray, cfg: ProjectionConfig) -> tuple[np.nd
     values, without allocating the image.  The nearest-wins reduction is
     ``_nearest_per_pixel``.
     """
-    xyz = np.asarray(xyz, dtype=float)
+    return _equirect_segments([np.asarray(xyz, dtype=float)], cfg)[0]
+
+
+def equirect_range_pixels_batch(
+    segments: Sequence[tuple[RigidTransform, np.ndarray]], cfg: ProjectionConfig
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """``equirect_range_pixels(transform_points(c, xyz), cfg)`` of each ``(c, xyz)``.
+
+    Each segment is transformed by its own ``transform_points`` call, which
+    fixes the bits of its points; ranges, pixel ids and the nearest-wins
+    sort then run once over all of them (see ``_nearest_per_segment``).
+    Every step is elementwise or keeps the segments apart, so each result is
+    bit-identical to the segment projected alone, at a fraction of the
+    per-call overhead when segments are small.
+    """
+    return _equirect_segments([transform_points(c, xyz) for c, xyz in segments], cfg)
+
+
+def _equirect_segments(
+    parts: Sequence[np.ndarray], cfg: ProjectionConfig
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per (N_k, 3) float64 part, ``_nearest_per_pixel`` of its points with r > 0."""
+    # segment indices share the sort key's high word with the pixel ids
+    per_sort = max(2**32 >> (cfg.width * cfg.height - 1).bit_length(), 1)
+    if len(parts) > per_sort:
+        out = []
+        for k in range(0, len(parts), per_sort):
+            out.extend(_equirect_segments(parts[k : k + per_sort], cfg))
+        return out
+    seg = None
+    if len(parts) == 1:
+        xyz = parts[0]
+    else:
+        counts = [len(part) for part in parts]
+        # column-major, so each coordinate column the pixel arithmetic reads
+        # is contiguous, as transform_points lays out a single part
+        xyz = np.empty((sum(counts), 3), order="F")
+        end = 0
+        for part, count in zip(parts, counts):
+            xyz[end : end + count] = part
+            end += count
+        seg = np.repeat(np.arange(len(parts), dtype=np.uint64), counts)
     x, y, z = xyz[:, 0], xyz[:, 1], xyz[:, 2]
     r = _ranges(xyz)
     keep = r > 0.0
     if np.count_nonzero(keep) < keep.size:
         x, y, z, r = x[keep], y[keep], z[keep], r[keep]
-    return _nearest_per_pixel(_equirect_pix(x, y, z, r, cfg), r, cfg)
+        if seg is not None:
+            seg = seg[keep]
+    return _nearest_per_segment(_equirect_pix(x, y, z, r, cfg), r, seg, len(parts), cfg)
 
 
 def project_equirect(cloud: PointCloud, cfg: ProjectionConfig) -> np.ndarray:

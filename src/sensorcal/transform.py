@@ -163,17 +163,15 @@ class RigidTransform:
         return m
 
 
-def _quat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _hamilton(a, b) -> tuple[float, float, float, float]:
     # Python floats: the same IEEE products and sums as numpy scalars, faster
-    w1, x1, y1, z1 = a.tolist()
-    w2, x2, y2, z2 = b.tolist()
-    return np.array(
-        [
-            w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
-            w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
-            w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
-            w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
-        ]
+    w1, x1, y1, z1 = a
+    w2, x2, y2, z2 = b
+    return (
+        w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
+        w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
+        w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
+        w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
     )
 
 
@@ -222,17 +220,30 @@ def _quat_from_rotation_matrix(r: np.ndarray) -> np.ndarray:
     )
 
 
+def _built(q: np.ndarray, t: np.ndarray) -> RigidTransform:
+    """``RigidTransform(q=q, t=t)`` for new float64 arrays of shapes (4,) and (3,).
+
+    The same checks, normalisation and sign canonicalisation as the
+    constructor, without its defensive copies.
+    """
+    if not all(map(math.isfinite, q.tolist() + t.tolist())):
+        raise ValueError("RigidTransform components must be finite")
+    t.setflags(write=False)
+    return RigidTransform._from_valid(_unit_quat(q), t)
+
+
 def compose(a: RigidTransform, b: RigidTransform) -> RigidTransform:
     """Composition a then-applied-after b: result.matrix() == a.matrix() @ b.matrix()."""
-    q = _quat_mul(a.q, b.q)
+    q = np.array(_hamilton(a.q.tolist(), b.q.tolist()))
     t = a._rotation @ b.t + a.t
-    return RigidTransform(q=q, t=t)
+    return _built(q, t)
 
 
 def invert(a: RigidTransform) -> RigidTransform:
-    q_inv = np.array([a.q[0], -a.q[1], -a.q[2], -a.q[3]])
+    w, x, y, z = a.q.tolist()
+    q_inv = np.array([w, -x, -y, -z])
     t_inv = -(a._rotation.T @ a.t)
-    return RigidTransform(q=q_inv, t=t_inv)
+    return _built(q_inv, t_inv)
 
 
 def transform_points(a: RigidTransform, xyz: np.ndarray) -> np.ndarray:
@@ -258,10 +269,10 @@ def apply(a: RigidTransform, pts: "PointCloud") -> "PointCloud":
 
 def _euler_quat(roll: float, pitch: float, yaw: float) -> np.ndarray:
     half_r, half_p, half_y = 0.5 * roll, 0.5 * pitch, 0.5 * yaw
-    qx = np.array([math.cos(half_r), math.sin(half_r), 0.0, 0.0])
-    qy = np.array([math.cos(half_p), 0.0, math.sin(half_p), 0.0])
-    qz = np.array([math.cos(half_y), 0.0, 0.0, math.sin(half_y)])
-    return _quat_mul(qz, _quat_mul(qy, qx))
+    qx = (math.cos(half_r), math.sin(half_r), 0.0, 0.0)
+    qy = (math.cos(half_p), 0.0, math.sin(half_p), 0.0)
+    qz = (math.cos(half_y), 0.0, 0.0, math.sin(half_y))
+    return np.array(_hamilton(qz, _hamilton(qy, qx)))
 
 
 def from_euler(e: EulerPose) -> RigidTransform:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from sensorcal.cli import main
+from sensorcal.errors import ParseError
 
 GEN_ARGS = [
     "gen-scene",
@@ -222,17 +223,33 @@ def test_render_predicted_requires_pred(frames_dir, tmp_path):
          "error: --multiframe requires a rigid-* scenario"),
         (["calibrate", "--frames", "{missing}", "--scenario", "small"], 1,
          "error: [Errno 2] No such file or directory"),
+        (["calibrate", "--frames", "{not_json}", "--scenario", "small"], 2,
+         "manifest.json: not a JSON manifest"),
+        (["calibrate", "--frames", "{empty}", "--scenario", "small"], 2,
+         "manifest.json: 'camera' must be an object"),
         (["evaluate", "--pred", "{bad}"], 2, "expected the predictions.csv header"),
         # gt comes first, so a late rejection would already have written its overlay
         (["render", "--frames", "{frames}", "--source", "gt", "predicted"], 1,
          "error: --pred required for source 'predicted'"),
     ],
-    ids=["calibrate", "calibrate-missing-frames", "evaluate", "render"],
+    ids=[
+        "calibrate",
+        "calibrate-missing-frames",
+        "calibrate-manifest-not-json",
+        "calibrate-manifest-empty-object",
+        "evaluate",
+        "render",
+    ],
 )
 def test_rejected_command_writes_nothing(frames_dir, tmp_path, capsys, args, code, message):
     bad = tmp_path / "bad.csv"
     bad.write_text("run,frame\n")
-    args = [a.format(frames=frames_dir, bad=bad, missing=tmp_path / "missing") for a in args]
+    manifests = {"not_json": "not json", "empty": "{}"}
+    for name, text in manifests.items():
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "manifest.json").write_text(text)
+    dirs = {name: tmp_path / name for name in manifests}
+    args = [a.format(frames=frames_dir, bad=bad, missing=tmp_path / "missing", **dirs) for a in args]
     out = tmp_path / "out"
     capsys.readouterr()
     assert main([*args, "--out", str(out)]) == code
@@ -243,6 +260,52 @@ def test_rejected_command_writes_nothing(frames_dir, tmp_path, capsys, args, cod
     (out / "keep.txt").write_bytes(b"untouched")
     assert main([*args, "--out", str(out)]) == code
     assert [p.name for p in out.rglob("*")] == ["keep.txt"]
+
+
+_CAMERA = {"width": 64, "height": 32, "fx": 40.0, "fy": 40.0, "cx": 32.0, "cy": 16.0,
+           "depth_scale": 0.001}
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (b"not json", "not a JSON manifest"),
+        (b"\xff{}", "not a JSON manifest"),
+        (b"[1, 2]", "expected a JSON object"),
+        (b"{}", "'camera' must be an object"),
+        (json.dumps({"camera": 3, "frames": 1}).encode(), "'camera' must be an object"),
+        (json.dumps({"camera": {**_CAMERA, "fx": "40"}, "frames": 1}).encode(), "'camera'"),
+        (json.dumps({"camera": {**_CAMERA, "cy": True}, "frames": 1}).encode(), "'camera'"),
+        (json.dumps({"camera": {**_CAMERA, "width": 64.0}, "frames": 1}).encode(), "integers"),
+        (json.dumps({"camera": {**_CAMERA, "height": 0}, "frames": 1}).encode(), "integers"),
+        (json.dumps({"camera": _CAMERA}).encode(), "'frames' must be integers"),
+        (json.dumps({"camera": _CAMERA, "frames": 0}).encode(), "'frames' must be integers"),
+        (json.dumps({"camera": _CAMERA, "frames": True}).encode(), "'frames' must be integers"),
+        (json.dumps({"camera": _CAMERA, "frames": "2"}).encode(), "'frames' must be integers"),
+    ],
+)
+def test_read_manifest_rejects_malformed_manifests(tmp_path, text, message):
+    from sensorcal.cli import _read_manifest
+
+    (tmp_path / "manifest.json").write_bytes(text)
+    with pytest.raises(ParseError, match=message):
+        _read_manifest(tmp_path)
+
+
+def test_read_manifest_accepts_what_gen_scene_writes(frames_dir):
+    from sensorcal.cli import _read_manifest
+
+    assert _read_manifest(frames_dir)["frames"] == 2
+
+
+@pytest.mark.parametrize("command", ["perturb", "render"])
+def test_malformed_manifest_exits_2_before_writing(tmp_path, capsys, command):
+    (tmp_path / "frames").mkdir()
+    (tmp_path / "frames" / "manifest.json").write_text("{}")
+    out = tmp_path / "out"
+    assert main([command, "--frames", str(tmp_path / "frames"), "--out", str(out)]) == 2
+    assert "error: " in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -21,9 +21,11 @@ from sensorcal.estimate import (
     identity_estimator,
     joint_estimator,
     oracle_estimator,
+    pairwise_estimator,
     true_edges,
 )
-from sensorcal.loss import LossWeights, loop_transform
+from sensorcal.loss import PAIR_NAMES, LossWeights, loop_transform
+from sensorcal.pipeline import refine_multiframe
 from sensorcal.perturb import MiscalBounds, apply_miscalibration, sample_miscalibration
 from sensorcal.projection import (
     ProjectionConfig,
@@ -411,3 +413,130 @@ def test_lidar_radar_target_is_the_band_of_its_raster(frame):
     last = first_row + band.shape[0]
     assert band.tobytes() == full[first_row:last].tobytes()
     assert not full[:first_row].any() and not full[last:].any()
+
+
+# --- batches of candidates ---------------------------------------------------------
+
+
+def sequential_cost(problem, x, calls):
+    """The mean per-frame cost of one candidate, each frame projected by its
+    own alignment_cost call, as the solver scored candidates before batches."""
+    residual = from_euler_vector(x)
+    total = 0.0
+    for source, target, first_row in zip(problem.sources, problem.targets, problem.first_rows):
+        calls.append(1)
+        c = alignment_cost(source, residual, target, problem.cfg, first_row=first_row)
+        if not math.isfinite(c):
+            return math.inf
+        total += c
+    return total / len(problem.sources)
+
+
+@pytest.mark.parametrize("batch_points", [None, 1, 2000])
+def test_batched_costs_equal_one_candidate_at_a_time(frame, perturbed, monkeypatch, batch_points):
+    """Edge costs of candidates scored in batches (of one candidate when
+    the cap is below a candidate's points) equal the sequential cost bit
+    for bit, with one alignment_cost call per (candidate, frame) up to the
+    first frame without overlap."""
+    import sensorcal.estimate as estimate
+
+    if batch_points is not None:
+        monkeypatch.setattr(estimate, "_BATCH_POINTS", batch_points)
+    stage = EstimatorStage(bounds=SMALL)
+    problems = _build_problems([frame, perturbed], PAIR_NAMES, stage, AlignmentCostConfig())
+    rng = np.random.default_rng(33)
+    calls = []
+    counted = estimate.alignment_cost
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return counted(*args, **kwargs)
+
+    monkeypatch.setattr(estimate, "alignment_cost", counting)
+    for problem in problems:
+        xs = list(rng.uniform(-1.0, 1.0, (11, 6)) * problem.box)
+        # no overlap: far off in the first frame, or in both
+        xs[4] = np.array([0.0, 0.0, 0.0, 0.0, 0.0, 5e3])
+        xs.insert(7, np.array([3.0, 0.0, 0.0, 0.0, 0.0, 0.0]))
+        expected_calls = []
+        expected = [sequential_cost(problem, x, expected_calls) for x in xs]
+        calls.clear()
+        costs = problem.costs(xs)
+        assert np.array(costs).tobytes() == np.array(expected).tobytes()
+        assert len(calls) == len(expected_calls)
+        assert math.isinf(costs[4]) and costs[0] < math.inf
+        assert problem.cost(xs[1]) == costs[1]
+
+
+def test_camera_targets_are_built_once_per_refinement(perturbed, monkeypatch):
+    import sensorcal.estimate as estimate
+
+    built = []
+    build = estimate._camera_target
+
+    def recording(frame, pull_back, proj):
+        built.append(frame.camera_depth)
+        return build(frame, pull_back, proj)
+
+    monkeypatch.setattr(estimate, "_camera_target", recording)
+    stages = [EstimatorStage(bounds=SMALL, budget=60)] * 3
+    w, cfg = LossWeights(), AlignmentCostConfig()
+    cached = refine_multiframe([perturbed], joint_estimator(w, cfg, seed=4), stages)
+    # the two camera edges of the one frame, in the first stage only
+    assert len(built) == 2 and all(d is perturbed.camera_depth for d in built)
+
+    built.clear()
+    rebuilt = refine_multiframe(
+        [perturbed], lambda frames, stage: estimate_multiframe(frames, stage, w, cfg, seed=4), stages
+    )
+    assert len(built) == 6
+    for name, pred in cached.final.present():
+        assert pred.q.tobytes() == rebuilt.final.get(name).q.tobytes()
+        assert pred.t.tobytes() == rebuilt.final.get(name).t.tobytes()
+
+    # an equal depth image in a new array, or another camera, is built anew
+    built.clear()
+    estimator = pairwise_estimator(cfg, seed=4)
+    estimator([perturbed], stages[0])
+    copy = replace(perturbed, camera_depth=perturbed.camera_depth.copy())
+    estimator([copy], stages[0])
+    estimator([copy], stages[0])
+    assert len(built) == 4
+    narrow = replace(copy.camera_config, fx=copy.camera_config.fx * 2.0)
+    estimator([replace(copy, camera_config=narrow)], stages[0])
+    assert len(built) == 6
+
+
+# --- evaluation count -------------------------------------------------------------
+
+
+def test_joint_estimate_makes_a_pinned_number_of_cost_calls(monkeypatch):
+    """The count of estimate.alignment_cost calls, wrapped as bench/run.py's
+    CostCounter wraps it, of a two-frame joint estimate whose box is wide
+    enough for the rotation screen (216 probes on the camera edges, 2197 on
+    lidar_radar, whose starts then get one evaluation each).  The figure was
+    measured before the starts were evaluated in lock-step; one call per
+    (candidate, frame) keeps it."""
+    import sensorcal.estimate as estimate
+
+    frames = [
+        generate_scene(
+            random_scene_spec(seed=60 + k, lidar_density=2500, radar_density=350), POSES, index=k
+        )
+        for k in range(2)
+    ]
+    box = MiscalBounds(0.1, math.radians(8.0))
+    rng = np.random.default_rng(61)
+    lidar_mis, radar_mis = sample_miscalibration(box, rng), sample_miscalibration(box, rng)
+    group = [apply_miscalibration(f, lidar_mis=lidar_mis, radar_mis=radar_mis) for f in frames]
+    calls = []
+    counted = estimate.alignment_cost
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return counted(*args, **kwargs)
+
+    monkeypatch.setattr(estimate, "alignment_cost", counting)
+    stage = EstimatorStage(bounds=box, budget=400)
+    estimate_multiframe(group, stage, LossWeights(), AlignmentCostConfig(), seed=3)
+    assert len(calls) == 8428

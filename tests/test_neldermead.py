@@ -1,4 +1,5 @@
-"""The in-repo Nelder-Mead against scipy's, and the package's import graph.
+"""The in-repo Nelder-Mead against scipy's, lock-step against one at a time,
+and the package's import graph.
 
 scipy is only the reference here: ``sensorcal.neldermead.minimize`` must
 return the same bits for ``x`` and ``f`` and hand the objective the same
@@ -20,7 +21,7 @@ import pytest
 import sensorcal
 from sensorcal.data import PointCloud
 from sensorcal.estimate import AlignmentCostConfig, _initial_simplex, alignment_cost
-from sensorcal.neldermead import minimize
+from sensorcal.neldermead import lockstep, minimize, search
 from sensorcal.projection import ProjectionConfig, project_equirect
 from sensorcal.transform import from_euler_vector
 
@@ -193,6 +194,122 @@ def test_edge_cost_objective(scipy_minimize):
     box = np.array([0.2] * 3 + [1.5] * 3)
     for x0, maxfev in ((np.zeros(6), 150), (np.array([0.15, -0.1, 0.1, 1.0, -1.2, 0.8]), 90)):
         same_run(scipy_minimize, cost, _initial_simplex(x0, box, 0.35), maxfev, fatol=1e-6)
+
+
+# --- lock-step searches --------------------------------------------------------
+
+
+def _recording(gen, calls):
+    """The search gen, recording the bytes of each candidate it yields."""
+    try:
+        x = next(gen)
+        while True:
+            calls.append(x.tobytes())
+            x = gen.send((yield x))
+    except StopIteration as stop:
+        return stop.value
+
+
+def same_in_lockstep(fun, runs, *, fatol=1e-12, xatol=1e-7):
+    """Run searches from runs = [(simplex, maxfev), ...] one at a time with
+    minimize and together with lockstep; assert that each search sees the
+    same candidates in the same order and returns the same bits, and that
+    every round scores one candidate of each search still running."""
+    options = [
+        {"maxfev": maxfev, "fatol": fatol, "xatol": xatol, "initial_simplex": simplex}
+        for simplex, maxfev in runs
+    ]
+    alone = []
+    for opts in options:
+        calls = []
+        x, f = minimize(_recorded(fun, calls), opts["initial_simplex"][0].copy(), options=dict(opts))
+        alone.append((calls, x, f))
+    together = [[] for _ in runs]
+    rounds = []
+
+    def costs(xs):
+        rounds.append(len(xs))
+        return [fun(x) for x in xs]
+
+    searches = [
+        _recording(search(opts["initial_simplex"][0].copy(), options=dict(opts)), calls)
+        for opts, calls in zip(options, together)
+    ]
+    results = lockstep(searches, costs)
+    for (calls, x, f), seen, (x_lock, f_lock) in zip(alone, together, results):
+        assert seen == calls
+        assert x_lock.tobytes() == x.tobytes()
+        assert np.float64(f_lock).tobytes() == np.float64(f).tobytes()
+    lengths = [len(calls) for calls, _, _ in alone]
+    assert rounds == [sum(n > k for n in lengths) for k in range(max(lengths))]
+    return lengths
+
+
+@pytest.mark.parametrize("n", [6, 18])
+def test_lockstep_equals_minimize_for_every_start(n):
+    # different simplices and budgets: one evaluation (the starved starts of
+    # a wide first stage), N + 1, and runs that end at different rounds
+    fun = _bumpy(n, n)
+    budgets = [1, n + 1, n + 2, 2 * n + 3, 40, 200 * n // 6, 1, 7]
+    runs = [(_box_simplex(n, 20 + k), maxfev) for k, maxfev in enumerate(budgets)]
+    lengths = same_in_lockstep(fun, runs)
+    assert lengths == budgets
+
+
+@pytest.mark.parametrize("n", [6, 18])
+@pytest.mark.parametrize("plateau", [math.inf, math.nan])
+def test_lockstep_budgets_that_end_inside_a_shrink(n, plateau):
+    simplex = _box_simplex(n, 3)
+    centre = simplex[0].copy()
+
+    def fun(x):
+        d = float(np.max(np.abs(x - centre)))
+        return d if d < 0.05 else plateau
+
+    runs = [(simplex, maxfev) for maxfev in range(n + 3, 2 * n + 5)]
+    runs += [(_box_simplex(n, 9), 3 * n), (simplex, 1)]
+    same_in_lockstep(fun, runs)
+
+
+@pytest.mark.parametrize("n", [6, 18])
+def test_lockstep_tied_costs_and_all_inf(n):
+    bowl = _bumpy(n, 5)
+    for quantum in (0.5, 2.0):
+        fun = lambda x, q=quantum: q * math.floor(bowl(x) / q)  # noqa: E731
+        runs = [(_box_simplex(n, 5 + k % 3), maxfev) for k, maxfev in enumerate(range(1, 3 * n + 20, 3))]
+        same_in_lockstep(fun, runs + [(_box_simplex(n, 5), 60 * n)])
+    with np.errstate(invalid="ignore"):
+        same_in_lockstep(lambda x: math.inf, [(_box_simplex(n, 4), m) for m in (1, n + 2, 120)])
+
+
+def test_lockstep_searches_that_stop_on_tolerance():
+    # each search stops on xatol/fatol at its own round, long before maxfev
+    runs = [(_box_simplex(6, 30 + k), 100_000) for k in range(5)]
+    lengths = same_in_lockstep(_bumpy(6, 6), runs, fatol=1e-4, xatol=1e-4)
+    assert max(lengths) < 100_000 and len(set(lengths)) > 1
+
+
+def test_lockstep_on_the_edge_cost_objective():
+    rng = np.random.default_rng(7)
+    xyz = rng.normal(0.0, 8.0, (600, 3))
+    cfg = AlignmentCostConfig(projection=ProjectionConfig.equirect(96, 48))
+    source = PointCloud.bare(xyz)
+    target = project_equirect(source, cfg.projection)
+
+    def cost(x):
+        return alignment_cost(source, from_euler_vector(x), target, cfg)
+
+    box = np.array([0.2] * 3 + [1.5] * 3)
+    starts = [np.zeros(6), np.array([0.15, -0.1, 0.1, 1.0, -1.2, 0.8]), rng.uniform(-1, 1, 6) * box]
+    runs = [(_initial_simplex(x0, box, 0.35), maxfev) for x0, maxfev in zip(starts, (150, 90, 7))]
+    same_in_lockstep(cost, runs, fatol=1e-6)
+
+
+def test_lockstep_of_no_searches_and_of_searches_without_budget():
+    assert lockstep([], lambda xs: pytest.fail("nothing to score")) == []
+    options = {"maxfev": 0, "fatol": 1e-6, "xatol": 1e-7, "initial_simplex": _box_simplex(6, 1)}
+    ((x, f),) = lockstep([search(np.zeros(6), options=options)], lambda xs: pytest.fail("no budget"))
+    assert x.tobytes() == _box_simplex(6, 1)[0].tobytes() and f == math.inf
 
 
 def test_rejects_a_simplex_of_the_wrong_shape():

@@ -9,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 
 from sensorcal.data import PointCloud
 from sensorcal.errors import SchemaMismatchError
+from sensorcal.estimate import _BATCH_POINTS
 from sensorcal.projection import (
     _BLOCK_ROWS,
     ProjectionConfig,
@@ -21,12 +22,14 @@ from sensorcal.projection import (
     cart_to_spherical,
     equirect_pixel,
     equirect_range_pixels,
+    equirect_range_pixels_batch,
     pinhole_range_pixels,
     project_equirect,
     project_pinhole,
     resize_bilinear,
     unproject_pinhole,
 )
+from sensorcal.transform import RigidTransform, from_euler_vector, transform_points
 
 
 def brute_force_equirect(cloud, cfg):
@@ -410,6 +413,123 @@ def test_range_pixels_reject_rasters_of_2_pow_32_pixels():
     cfg = ProjectionConfig.equirect(65537, 65535)
     assert_same_range_pixels(pole, cfg)
     assert equirect_range_pixels(pole, cfg)[0][0] >= 2**31
+
+
+# --- batches of candidates ---------------------------------------------------------
+
+# the two rasters the estimator projects onto: the cost raster and the
+# lidar_radar raster, 8 times smaller
+_COST_RASTERS = (ProjectionConfig.equirect(1536, 768), ProjectionConfig.equirect(192, 96))
+
+
+def assert_batch_equals_one_at_a_time(segments, cfg):
+    batch = equirect_range_pixels_batch(segments, cfg)
+    assert len(batch) == len(segments)
+    for (candidate, xyz), (pix, r) in zip(segments, batch):
+        ref_pix, ref_r = equirect_range_pixels(transform_points(candidate, xyz), cfg)
+        assert pix.dtype == ref_pix.dtype == np.int64 and r.dtype == ref_r.dtype == np.float32
+        assert pix.tobytes() == ref_pix.tobytes()
+        assert r.tobytes() == ref_r.tobytes()
+
+
+_small_poses = st.tuples(*[st.floats(-0.3, 0.3)] * 3 + [st.floats(-2.0, 2.0)] * 3)
+
+
+@st.composite
+def candidate_segments(draw):
+    """(candidate, source) pairs: empty, one- and two-point sources, random
+    clouds with ties and seam points, points on the poles and on the seam
+    under translations that keep them there, and points that the
+    candidate's translation moves to range exactly 0."""
+    segments = []
+    for _ in range(draw(st.integers(1, 10))):
+        kind = draw(st.sampled_from(["empty", "one", "two", "cloud", "zero", "poles", "seam"]))
+        pose = np.array(draw(_small_poses))
+        candidate = draw(st.sampled_from([RigidTransform.identity(), from_euler_vector(pose)]))
+        if kind == "empty":
+            xyz = np.zeros((0, 3))
+        elif kind in ("one", "two"):
+            n = 1 if kind == "one" else 2
+            xyz = draw(arrays(np.float64, (n, 3), elements=_coords))
+        elif kind == "cloud":
+            xyz = draw(collision_clouds())
+        else:
+            # a pure translation: its rotation is the exact identity, so
+            # x + t, y + t and z + t are the only roundings
+            t = np.array(draw(st.tuples(*[st.floats(-2.0, 2.0)] * 3)))
+            if kind == "seam":
+                t[1] = 0.0
+            elif kind == "poles":
+                t[:2] = 0.0
+            candidate = from_euler_vector(np.concatenate([np.zeros(3), t]))
+            k = draw(st.integers(1, 6))
+            if kind == "zero":
+                xyz = np.concatenate([np.tile(-t, (k, 1)), draw(arrays(np.float64, (2, 3), elements=_coords))])
+            elif kind == "poles":
+                z = draw(arrays(np.float64, k, elements=st.floats(-50.0, 50.0)))
+                xyz = np.stack([np.zeros(k), np.zeros(k), z], axis=1)
+            else:
+                a = draw(arrays(np.float64, (k, 2), elements=st.floats(5.0, 50.0)))
+                y = draw(st.sampled_from([0.0, -0.0]))
+                xyz = np.stack([-a[:, 0], np.full(k, y), a[:, 1]], axis=1)
+        segments.append((candidate, xyz))
+    return segments
+
+
+@given(segments=candidate_segments(), cfg=st.sampled_from(_COST_RASTERS))
+def test_batch_equals_one_at_a_time(segments, cfg):
+    assert_batch_equals_one_at_a_time(segments, cfg)
+
+
+def test_batch_moves_points_to_range_0_on_the_poles_and_the_seam():
+    # the cases the strategy above draws, pinned: a translation that sends a
+    # point to the origin drops it; poles land in the first and last rows,
+    # seam points in column 0
+    t = np.array([0.5, 0.0, -1.5])
+    to_zero = from_euler_vector(np.concatenate([np.zeros(3), t]))
+    down = from_euler_vector(np.array([0.0, 0.0, 0.0, 0.0, 0.0, -1.5]))
+    xyz = np.array([[0.0, 0.0, 9.0], [0.0, 0.0, -9.0], [-4.0, 0.0, 1.5], [-4.0, -0.0, 1.5]])
+    assert transform_points(to_zero, -t[None]).tolist() == [[0.0, 0.0, 0.0]]
+    for cfg in _COST_RASTERS:
+        w, h = cfg.width, cfg.height
+        segments = [(to_zero, -t[None]), (down, xyz), (to_zero, np.concatenate([-t[None], xyz]))]
+        assert_batch_equals_one_at_a_time(segments, cfg)
+        (zero, _), (pix, r), (mixed, _) = equirect_range_pixels_batch(segments, cfg)
+        assert zero.size == 0 and mixed.size == 3  # both seam points share a pixel
+        assert pix.tolist() == [w // 2, (h // 2) * w, (h - 1) * w + w // 2]
+        assert r.tolist() == [7.5, 4.0, 10.5]
+
+
+def test_batches_at_the_point_cap():
+    # the largest batches the estimator sends: one source of _BATCH_POINTS
+    # points, and 400-point radar sources up to the cap, next to empty ones
+    rng = np.random.default_rng(31)
+    poses = rng.uniform(-0.2, 0.2, (41, 6))
+    big = rng.normal(0.0, 15.0, (_BATCH_POINTS, 3))
+    radar = rng.normal(0.0, 15.0, (400, 3))
+    for cfg in _COST_RASTERS:
+        assert_batch_equals_one_at_a_time([(from_euler_vector(poses[0]), big)], cfg)
+        segments = [(from_euler_vector(p), radar) for p in poses[: _BATCH_POINTS // 400]]
+        segments.insert(3, (from_euler_vector(poses[-1]), radar[:0]))
+        segments.append((RigidTransform.identity(), radar[:1]))
+        assert_batch_equals_one_at_a_time(segments, cfg)
+
+
+def test_batch_splits_segments_that_overflow_the_key():
+    # 2**31 pixels leave one bit of the key's high word for the segment
+    # index, so five segments take three sorts; 1536x768 leaves 11 bits
+    rng = np.random.default_rng(32)
+    pole = np.array([[0.0, 0.0, -1.0], [3.0, -4.0, 0.5]])
+    wide = ProjectionConfig.equirect(2**16, 2**15)
+    segments = [(from_euler_vector(p), pole) for p in rng.uniform(-0.2, 0.2, (5, 6))]
+    assert_batch_equals_one_at_a_time(segments, wide)
+    cloud = rng.normal(0.0, 15.0, (3, 3))
+    segments = [(RigidTransform.identity(), cloud[: k % 4]) for k in range(2**11 + 3)]
+    assert_batch_equals_one_at_a_time(segments, _COST_RASTERS[0])
+
+
+def test_batch_of_none_is_empty():
+    assert equirect_range_pixels_batch([], _COST_RASTERS[0]) == []
 
 
 def test_full_sphere_coverage_vs_pinhole():

@@ -247,6 +247,56 @@ def test_from_euler_vector_rejects_non_finite(i, bad):
         from_euler_vector(x)
 
 
+# copies of the earlier quaternion product, compose, invert and from_euler,
+# which built every result through the RigidTransform constructor
+def reference_quat_mul(a, b):
+    w1, x1, y1, z1 = a.tolist()
+    w2, x2, y2, z2 = b.tolist()
+    return np.array(
+        [
+            w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
+            w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
+            w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
+            w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
+        ]
+    )
+
+
+def reference_compose(a, b):
+    return RigidTransform(q=reference_quat_mul(a.q, b.q), t=a.rotation_matrix() @ b.t + a.t)
+
+
+def reference_invert(a):
+    q_inv = np.array([a.q[0], -a.q[1], -a.q[2], -a.q[3]])
+    return RigidTransform(q=q_inv, t=-(a.rotation_matrix().T @ a.t))
+
+
+def reference_from_euler(e):
+    half_r, half_p, half_y = 0.5 * e.roll, 0.5 * e.pitch, 0.5 * e.yaw
+    qx = np.array([math.cos(half_r), math.sin(half_r), 0.0, 0.0])
+    qy = np.array([math.cos(half_p), 0.0, math.sin(half_p), 0.0])
+    qz = np.array([math.cos(half_y), 0.0, 0.0, math.sin(half_y)])
+    q = reference_quat_mul(qz, reference_quat_mul(qy, qx))
+    return RigidTransform(q=q, t=np.array([e.tx, e.ty, e.tz], dtype=float))
+
+
+@given(_vectors, _vectors)
+def test_compose_invert_and_from_euler_bit_identical_to_the_constructor_path(u, v):
+    a, b = (from_euler(EulerPose.from_array(np.array(w))) for w in (u, v))
+    assert_bit_identical(a, reference_from_euler(EulerPose.from_array(np.array(u))))
+    assert_bit_identical(compose(a, b), reference_compose(a, b))
+    assert_bit_identical(invert(a), reference_invert(a))
+    # the polish composes results of compose and invert again
+    assert_bit_identical(compose(invert(a), compose(a, b)), reference_compose(
+        reference_invert(a), reference_compose(a, b)))
+
+
+def test_compose_rejects_a_translation_that_overflows():
+    far = RigidTransform.from_translation(1e308, 0.0, 0.0)
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+        compose(far, far)
+
+
 def test_rotation_matrix_copy_is_the_callers():
     rng = np.random.default_rng(18)
     pts = rng.uniform(-10, 10, (20, 3))
