@@ -81,7 +81,6 @@ from .projection import (
     equirect_pixel,
     project_equirect,
     project_pinhole,
-    resize_bilinear,
     unproject_pinhole,
 )
 from .transform import (

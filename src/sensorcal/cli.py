@@ -13,7 +13,7 @@ import json
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +28,7 @@ from .dataio import (
     random_scene_spec,
     save_calib,
     save_frame,
+    write_pgm,
 )
 from .errors import CalibrationError, ParseError
 from .estimate import (
@@ -43,13 +44,14 @@ from .metrics import (
     ErrorRecord,
     error_record,
     format_summary_table,
+    records_csv,
     summarize_by_pair,
     summary_csv,
 )
 from .perturb import PRESETS, apply_miscalibration, sample_miscalibration
 from .pipeline import aggregate_sequence, refine_multiframe, stages_from_preset
-from .projection import ProjectionConfig, project_pinhole
-from .transform import RigidTransform, apply, invert
+from .projection import ProjectionConfig, pinhole_range_pixels
+from .transform import RigidTransform, invert, transform_points
 
 DEPTH_SCALE = 80.0
 
@@ -267,14 +269,14 @@ def _build_estimator(name: str, w: LossWeights, cfg: AlignmentCostConfig, seed: 
     raise ValueError(f"unknown estimator {name!r}")
 
 
-def _calibrate_run(task: dict) -> tuple[int, list[dict]]:
+def _calibrate_run(frames: list[FrameSet], task: dict) -> tuple[int, list[dict]]:
     """One evaluation run: perturb, refine each group of frames, optionally aggregate.
 
     Groups hold --multiframe frames (1 by default) that are estimated
-    together.  Module-level and driven by a plain dict so runs can execute
-    in worker processes; rows come back as dicts of primitives.
+    together; more than one assumes a rigid scenario.  Module-level and
+    driven by a plain dict so runs can execute in worker processes; rows
+    come back as dicts of primitives.
     """
-    frames, _ = _load_frames(Path(task["frames_dir"]))
     preset = PRESETS[task["preset"]]
     stages = stages_from_preset(preset, budget=task["budget"])
     w = LossWeights(loop_weight=task["loop_weight"])
@@ -287,8 +289,6 @@ def _calibrate_run(task: dict) -> tuple[int, list[dict]]:
     rng = np.random.default_rng(np.random.SeedSequence((task["seed"], run)))
     bounds = preset.stages[0]
     group_size = task.get("multiframe", 1)
-    if group_size > 1 and not rigid:
-        raise ValueError("multiframe estimation assumes a rigid scenario")
     if rigid:
         lidar_mis = sample_miscalibration(bounds, rng)
         radar_mis = sample_miscalibration(bounds, rng)
@@ -336,17 +336,18 @@ def _prediction_rows(
     return rows
 
 
-def _rows_to_records(rows: list[dict], aggregated_only: bool) -> list[ErrorRecord]:
-    records = []
-    for row in rows:
-        if aggregated_only and row["frame"] != -1:
-            continue
-        if not aggregated_only and row["frame"] == -1:
-            continue
-        pred = RigidTransform(q=np.array(row["pred"][:4]), t=np.array(row["pred"][4:]))
-        gt = RigidTransform(q=np.array(row["gt"][:4]), t=np.array(row["gt"][4:]))
-        records.append(error_record(pred, gt, row["pair"]))
-    return records
+def _pose(values: list[float]) -> RigidTransform:
+    """The transform of a row's (qw, qx, qy, qz, tx, ty, tz)."""
+    return RigidTransform(q=np.array(values[:4]), t=np.array(values[4:]))
+
+
+def _rows_to_records(rows: list[dict], aggregated: bool) -> list[ErrorRecord]:
+    """Error records of the aggregated rows (frame -1), or of the per-frame rows."""
+    return [
+        error_record(_pose(row["pred"]), _pose(row["gt"]), row["pair"])
+        for row in rows
+        if (row["frame"] == -1) == aggregated
+    ]
 
 
 _PREDICTIONS_HEADER = "run,frame,pair," + ",".join(
@@ -387,8 +388,8 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     if args.multiframe > 1 and not rigid:
         print("error: --multiframe requires a rigid-* scenario", file=sys.stderr)
         return 1
-    # a missing or unreadable --frames fails here, before --out is created
-    _read_manifest(Path(args.frames))
+    # a missing or unreadable frame fails here, before --out is created
+    frames, _ = _load_frames(Path(args.frames))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     task_base = {
@@ -403,38 +404,33 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
         "multiframe": args.multiframe,
     }
     tasks = [{**task_base, "run": r} for r in range(runs)]
-    all_rows: list[dict] = []
+    run = partial(_calibrate_run, frames)
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            for _, rows in pool.map(_calibrate_run, tasks):
-                all_rows.extend(rows)
+            results = list(pool.map(run, tasks))
     else:
-        for task in tasks:
-            _, rows = _calibrate_run(task)
-            all_rows.extend(rows)
+        results = map(run, tasks)
+    all_rows = [row for _, rows in results for row in rows]
 
     (out / "predictions.csv").write_text(_predictions_csv(all_rows), encoding="ascii")
-    first_run_final = {}
-    for row in all_rows:
-        if row["run"] == 0:
-            first_run_final[row["pair"]] = RigidTransform(
-                q=np.array(row["pred"][:4]), t=np.array(row["pred"][4:])
-            )
+    first_run_final = {row["pair"]: _pose(row["pred"]) for row in all_rows if row["run"] == 0}
     save_calib(first_run_final, out / "predicted_calib.txt")
-    per_frame = _rows_to_records(all_rows, aggregated_only=False)
-    from .metrics import records_csv
-
+    per_frame = _rows_to_records(all_rows, aggregated=False)
     (out / "errors.csv").write_text(records_csv(per_frame), encoding="ascii")
-    summary_rows = _rows_to_records(all_rows, aggregated_only=True) if rigid else per_frame
-    if not summary_rows:
-        summary_rows = per_frame
-    by_pair = summarize_by_pair(summary_rows)
+    _write_manifest(out, {"command": "calibrate", "runs": runs, **task_base})
+    _write_summary(out, all_rows)
+    return 0
+
+
+def _write_summary(out: Path, rows: list[dict]) -> None:
+    """Write and print the per-pair summary of the aggregated rows, if there
+    are any, and of the per-frame rows otherwise."""
+    aggregated = any(row["frame"] == -1 for row in rows)
+    by_pair = summarize_by_pair(_rows_to_records(rows, aggregated))
     (out / "summary.csv").write_text(summary_csv(by_pair), encoding="ascii")
     table = format_summary_table(by_pair)
     (out / "summary.txt").write_text(table, encoding="ascii")
-    _write_manifest(out, {"command": "calibrate", "runs": runs, **task_base})
     print(table, end="")
-    return 0
 
 
 def _prediction_row(where: str, line: str) -> dict:
@@ -456,7 +452,7 @@ def _prediction_row(where: str, line: str) -> dict:
     row = {"run": run, "frame": frame, "pair": parts[2], "pred": values[:7], "gt": values[7:]}
     for side in ("pred", "gt"):
         try:
-            RigidTransform(q=np.array(row[side][:4]), t=np.array(row[side][4:]))
+            _pose(row[side])
         except ValueError as exc:  # a zero quaternion
             raise ParseError(f"{where}: {side} pose: {exc}") from None
     return row
@@ -477,33 +473,23 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     rows = _read_predictions(Path(args.pred))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    aggregated = [r for r in rows if r["frame"] == -1]
-    records = _rows_to_records(rows, aggregated_only=bool(aggregated))
-    by_pair = summarize_by_pair(records)
-    (out / "summary.csv").write_text(summary_csv(by_pair), encoding="ascii")
-    table = format_summary_table(by_pair)
-    (out / "summary.txt").write_text(table, encoding="ascii")
-    print(table, end="")
+    _write_summary(out, rows)
     return 0
 
 
 def _overlay(frame: FrameSet, edges: PredictionSet, out_path: Path) -> None:
     """Camera depth base image with projected lidar/radar points on top."""
     base = np.clip(frame.camera_depth[..., 0] / DEPTH_SCALE, 0.0, 1.0)
-    img = (base * 0.5 * 65535.0).astype(">u2")
-    cfg = frame.camera_config
+    img = (base * 0.5 * 65535.0).astype(np.uint16)
     layers = []
     if edges.cam_lidar is not None:
         layers.append((edges.cam_lidar, frame.lidar, 65535))
     if edges.radar_cam is not None:
         layers.append((invert(edges.radar_cam), frame.radar, 49152))
     for edge, cloud, gray in layers:
-        raster = project_pinhole(
-            apply(edge, cloud), replace(cfg, channels=("range",) + cloud.schema)
-        )
-        img[raster[..., 0] > 0] = gray
-    header = f"P5\n{img.shape[1]} {img.shape[0]}\n65535\n".encode("ascii")
-    out_path.write_bytes(header + img.tobytes())
+        pix, _ = pinhole_range_pixels(transform_points(edge, cloud.xyz), frame.camera_config)
+        img.reshape(-1)[pix] = gray
+    write_pgm(img, out_path, 65535.0)
 
 
 def cmd_render(args: argparse.Namespace) -> int:
@@ -514,26 +500,18 @@ def cmd_render(args: argparse.Namespace) -> int:
     pred_edges = None
     if args.pred:
         calib = load_calib(args.pred)
-        pred_edges = PredictionSet(
-            cam_lidar=calib.get("cam_lidar"),
-            lidar_radar=calib.get("lidar_radar"),
-            radar_cam=calib.get("radar_cam"),
-        )
+        pred_edges = PredictionSet(**{name: calib.get(name) for name in PAIR_NAMES})
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for frame in frames:
+        fixed = PredictionSet(frame.fixed_cam_lidar, frame.fixed_lidar_radar, frame.fixed_radar_cam)
+        edges = {
+            "gt": fixed.moved(frame.lidar_mis, frame.radar_mis),
+            "miscalibrated": fixed,
+            "predicted": pred_edges,
+        }
         for source in args.source:
-            if source == "gt":
-                edges = true_edges(frame)
-            elif source == "miscalibrated":
-                edges = PredictionSet(
-                    cam_lidar=frame.fixed_cam_lidar,
-                    lidar_radar=frame.fixed_lidar_radar,
-                    radar_cam=frame.fixed_radar_cam,
-                )
-            else:
-                edges = pred_edges
-            _overlay(frame, edges, out / f"frame_{frame.index:03d}_{source}.pgm")
+            _overlay(frame, edges[source], out / f"frame_{frame.index:03d}_{source}.pgm")
     print(f"wrote overlays to {out}")
     return 0
 

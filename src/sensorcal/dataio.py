@@ -27,9 +27,10 @@ from .projection import (
     ProjectionConfig,
     _merge_nearest,
     _range_image,
-    _ranges,
     _row_blocks,
     pinhole_range_pixels,
+    pinhole_rays,
+    sphere_dirs,
 )
 from .transform import RigidTransform, compose, invert
 
@@ -319,19 +320,13 @@ def _lidar_grid(density: int, elevation: tuple[float, float]) -> np.ndarray:
     az = (np.arange(n_cols) + 0.5) / n_cols * 2.0 * math.pi - math.pi
     el = np.linspace(elevation[0], elevation[1], n_rows)
     az, el = np.meshgrid(az, el)
-    az, el = az.ravel(), el.ravel()
-    return np.stack(
-        [np.cos(el) * np.cos(az), np.cos(el) * np.sin(az), np.sin(el)], axis=1
-    )
+    return sphere_dirs(az.ravel(), el.ravel())
 
 
 def _camera_rays(cfg: ProjectionConfig, row0: int, row1: int) -> np.ndarray:
     """Unit rays through the pixel centres of image rows [row0, row1)."""
     u, v = np.meshgrid(np.arange(cfg.width), np.arange(row0, row1))
-    dx = (u.ravel() + 0.5 - cfg.cx) / cfg.fx
-    dy = (v.ravel() + 0.5 - cfg.cy) / cfg.fy
-    dirs = np.stack([dx, dy, np.ones_like(dx)], axis=1)
-    return dirs / _ranges(dirs)[:, None]
+    return pinhole_rays(u.ravel(), v.ravel(), cfg)
 
 
 def _cast_from(
@@ -395,10 +390,7 @@ def generate_scene(
     # Radar: sparse random directions, RCS noise, dropout, static scene.
     az = rng.uniform(-math.pi, math.pi, spec.radar_density)
     el = rng.uniform(spec.radar_elevation[0], spec.radar_elevation[1], spec.radar_density)
-    radar_dirs = np.stack(
-        [np.cos(el) * np.cos(az), np.cos(el) * np.sin(az), np.sin(el)], axis=1
-    )
-    t, idx, dirs = _cast_from(spec, radar_pose, radar_dirs)
+    t, idx, dirs = _cast_from(spec, radar_pose, sphere_dirs(az, el))
     t = t + rng.normal(0.0, 1.0, t.shape) * spec.radar_noise
     rcs = np.array([spec.primitives[i].rcs for i in idx]) + rng.normal(0.0, 1.0, t.shape) * spec.rcs_noise
     keep = rng.random(t.shape[0]) >= spec.radar_dropout
@@ -570,7 +562,13 @@ def load_frame(
     """Inverse of save_frame given the camera config from the manifest."""
     frame_dir = Path(frame_dir)
     calib = load_calib(frame_dir / "calib.txt")
-    depth = read_pgm(frame_dir / "camera_depth.pgm") * depth_scale
+    depth_path = frame_dir / "camera_depth.pgm"
+    depth = read_pgm(depth_path) * depth_scale
+    if depth.shape != (camera.height, camera.width):
+        raise SizeMismatchError(
+            f"{depth_path}: depth image is {depth.shape[1]}x{depth.shape[0]}, "
+            f"the camera is {camera.width}x{camera.height}"
+        )
     identity = RigidTransform.identity()
     mis = {"lidar_mis": identity, "radar_mis": identity}
     if (frame_dir / "mis.txt").exists():

@@ -38,7 +38,8 @@ class NonRigidError(CalibrationError):
 
 
 class SizeMismatchError(CalibrationError):
-    """A binary cloud file length is not a multiple of the record size."""
+    """A binary cloud file length is not a multiple of the record size, or a
+    depth image does not have the size of its camera."""
 
 
 class DegenerateSceneError(CalibrationError):

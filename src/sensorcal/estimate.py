@@ -67,17 +67,14 @@ Estimator = Callable[[Sequence[FrameSet], "EstimatorStage"], PredictionSet]
 
 @dataclass(frozen=True)
 class EstimatorStage:
-    """Search box, evaluation budget, and convergence tolerance of one stage."""
+    """Search box and evaluation budget of one stage."""
 
     bounds: MiscalBounds
     budget: int = 1600
-    tolerance: float = 1e-5
 
     def __post_init__(self) -> None:
         if self.budget < 1:
             raise ValueError("budget must be >= 1")
-        if self.tolerance <= 0.0:
-            raise ValueError("tolerance must be > 0")
 
 
 def _default_cost_projection() -> ProjectionConfig:
@@ -158,10 +155,8 @@ def alignment_cost(
     return cost
 
 
-def _bounds_vector(bounds: MiscalBounds, scale: float = 1.0) -> np.ndarray:
-    return np.array(
-        [bounds.max_rotation] * 3 + [bounds.max_translation] * 3, dtype=float
-    ) * scale
+def _bounds_vector(bounds: MiscalBounds) -> np.ndarray:
+    return np.array([bounds.max_rotation] * 3 + [bounds.max_translation] * 3, dtype=float)
 
 
 def _initial_simplex(x0: np.ndarray, box: np.ndarray, step_fraction: float) -> np.ndarray:
@@ -171,13 +166,15 @@ def _initial_simplex(x0: np.ndarray, box: np.ndarray, step_fraction: float) -> n
     return simplex
 
 
-def _nm_options(
-    x0: np.ndarray, box: np.ndarray, maxfev: int, tolerance: float, step_fraction: float
-) -> dict:
+# Nelder-Mead's stop tolerances, in cost and in coordinates
+_FATOL, _XATOL = 1e-5, 1e-7
+
+
+def _nm_options(x0: np.ndarray, box: np.ndarray, maxfev: int, step_fraction: float) -> dict:
     return {
         "maxfev": maxfev,
-        "fatol": tolerance,
-        "xatol": 1e-7,
+        "fatol": _FATOL,
+        "xatol": _XATOL,
         "initial_simplex": _initial_simplex(x0, box, step_fraction),
     }
 
@@ -187,12 +184,11 @@ def _nelder_mead(
     x0: np.ndarray,
     box: np.ndarray,
     maxfev: int,
-    tolerance: float,
     step_fraction: float = 0.35,
 ) -> tuple[np.ndarray, float]:
     # one call per run, options passed by keyword: bench/tracing.py wraps
     # this module's `minimize` and reads len(x0) and options["maxfev"]
-    return minimize(cost_fn, x0, options=_nm_options(x0, box, maxfev, tolerance, step_fraction))
+    return minimize(cost_fn, x0, options=_nm_options(x0, box, maxfev, step_fraction))
 
 
 # Boxes with rotation bounds beyond this get a rotation-grid screen: uniform
@@ -219,11 +215,7 @@ def _rotation_screen(costs: Costs, box: np.ndarray, keep: int) -> tuple[list[np.
 
 
 def _multistart(
-    costs: Costs,
-    box: np.ndarray,
-    budget: int,
-    tolerance: float,
-    rng: np.random.Generator,
+    costs: Costs, box: np.ndarray, budget: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, float]:
     """Identity start plus box samples, refined by Nelder-Mead; best wins.
 
@@ -242,7 +234,7 @@ def _multistart(
     else:
         starts.extend(rng.uniform(-1.0, 1.0, (_N_STARTS - 1, box.size)) * box)
     maxfev = max((budget - spent) // len(starts), 1)
-    searches = [search(x0, options=_nm_options(x0, box, maxfev, tolerance, 0.35)) for x0 in starts]
+    searches = [search(x0, options=_nm_options(x0, box, maxfev, 0.35)) for x0 in starts]
     best_x, best_f = starts[0], math.inf
     for x, f in lockstep(searches, costs):
         if f < best_f:
@@ -288,11 +280,9 @@ def estimate_pairwise(
     )
 
     coarse_budget = max(stage.budget * 3 // 5, 1)
-    x_coarse, _ = _multistart(coarse.costs, box, coarse_budget, stage.tolerance, rng)
+    x_coarse, _ = _multistart(coarse.costs, box, coarse_budget, rng)
     fine_budget = max(stage.budget - coarse_budget, 1)
-    x_fine, f_fine = _nelder_mead(
-        fine.cost, x_coarse, box, fine_budget, stage.tolerance, step_fraction=0.08
-    )
+    x_fine, f_fine = _nelder_mead(fine.cost, x_coarse, box, fine_budget, step_fraction=0.08)
     candidates = [
         (f_fine, 0, x_fine),
         (fine.cost(x_coarse), 1, x_coarse),
@@ -506,26 +496,28 @@ def _build_problems(
     camera_targets: dict | None = None,
 ) -> list[_EdgeProblem]:
     crop_margin = stage.bounds.max_rotation + math.atan2(stage.bounds.max_translation, 4.0) + 0.1
+    first = frames[0]
+    nominals = {
+        "cam_lidar": first.fixed_cam_lidar,
+        "lidar_radar": first.fixed_lidar_radar,
+        "radar_cam": invert(first.fixed_radar_cam),
+    }
     problems = []
     for name in PAIR_NAMES:
         if name not in pairs:
             continue
         sources: list[PointCloud] = []
         bands: list[tuple[int, np.ndarray]] = []
+        nominal = nominals[name]
         edge_cfg = cfg
         box = _bounds_vector(stage.bounds)
-        if name == "cam_lidar":
-            nominal = frames[0].fixed_cam_lidar
-        elif name == "lidar_radar":
-            nominal = frames[0].fixed_lidar_radar
+        if name == "lidar_radar":
             shrunk = ProjectionConfig.equirect(
                 max(cfg.projection.width // _LR_RASTER_SHRINK, 16),
                 max(cfg.projection.height // _LR_RASTER_SHRINK, 8),
             )
             edge_cfg = replace(cfg, projection=shrunk)
-            box = _bounds_vector(stage.bounds, _LR_BOX_SCALE)
-        else:
-            nominal = invert(frames[0].fixed_radar_cam)
+            box = box * _LR_BOX_SCALE
         proj = edge_cfg.projection
         pull_back = invert(nominal)
         if name != "lidar_radar":
@@ -609,7 +601,7 @@ def estimate_multiframe(
 
     xs: dict[str, np.ndarray] = {}
     for problem in problems:
-        x, f = _multistart(problem.costs, problem.box, stage.budget, stage.tolerance, rng)
+        x, f = _multistart(problem.costs, problem.box, stage.budget, rng)
         if not math.isfinite(f):
             raise NoOverlapError(f"edge {problem.name}: no raster overlap")
         xs[problem.name] = x
@@ -619,9 +611,6 @@ def estimate_multiframe(
         return preds
 
     identity = RigidTransform.identity()
-
-    def split(x: np.ndarray) -> dict[str, np.ndarray]:
-        return {p.name: x[6 * i : 6 * i + 6] for i, p in enumerate(problems)}
 
     def joint_cost(x: np.ndarray) -> float:
         # one candidate per edge serves both its alignment cost and the loop;
@@ -660,14 +649,13 @@ def estimate_multiframe(
     start = candidates[int(np.argmin(scores))]
 
     box = np.concatenate([p.box for p in problems])
-    x_polished, f_polished = _nelder_mead(
-        joint_cost, start, box, stage.budget, stage.tolerance, step_fraction=0.1
-    )
+    x_polished, f_polished = _nelder_mead(joint_cost, start, box, stage.budget, step_fraction=0.1)
     # Hysteresis: plateau noise in the alignment terms makes sub-0.1%
     # "improvements" meaningless, so only genuine descent replaces the init.
     if not f_polished < f0 * (1.0 - 1e-3):
         return _loop_consistent(preds)
-    return _loop_consistent(_predictions(problems, split(x_polished)))
+    polished = {p.name: x_polished[6 * i : 6 * i + 6] for i, p in enumerate(problems)}
+    return _loop_consistent(_predictions(problems, polished))
 
 
 # --- estimator interface --------------------------------------------------
@@ -675,13 +663,8 @@ def estimate_multiframe(
 
 def true_edges(frame: FrameSet) -> PredictionSet:
     """Ground-truth pairwise edges of the frame under its recorded miscalibration."""
-    return PredictionSet(
-        cam_lidar=compose(frame.fixed_cam_lidar, invert(frame.lidar_mis)),
-        lidar_radar=compose(
-            compose(frame.lidar_mis, frame.fixed_lidar_radar), invert(frame.radar_mis)
-        ),
-        radar_cam=compose(frame.radar_mis, frame.fixed_radar_cam),
-    )
+    fixed = PredictionSet(frame.fixed_cam_lidar, frame.fixed_lidar_radar, frame.fixed_radar_cam)
+    return fixed.moved(frame.lidar_mis, frame.radar_mis)
 
 
 def oracle_estimator(

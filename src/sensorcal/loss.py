@@ -15,6 +15,7 @@ from .errors import EmptyCloudError, MissingPairError
 from .transform import (
     RigidTransform,
     compose,
+    invert,
     quat_angular_distance,
     transform_points,
     translation_distance,
@@ -93,6 +94,19 @@ class PredictionSet:
         if name not in PAIR_NAMES:
             raise KeyError(f"unknown pair {name!r}")
         return replace(self, **{name: value})
+
+    def moved(self, lidar: RigidTransform, radar: RigidTransform) -> "PredictionSet":
+        """The edges after the lidar cloud moves by lidar and the radar cloud by radar.
+
+        cam_lidar * lidar^-1, lidar * lidar_radar * radar^-1 and
+        radar * radar_cam; absent pairs stay absent.
+        """
+        cl, lr, rc = self.cam_lidar, self.lidar_radar, self.radar_cam
+        return PredictionSet(
+            None if cl is None else compose(cl, invert(lidar)),
+            None if lr is None else compose(compose(lidar, lr), invert(radar)),
+            None if rc is None else compose(radar, rc),
+        )
 
 
 def smooth_l1(x: float, beta: float = 1.0) -> float:

@@ -102,16 +102,7 @@ def refine_multiframe(
             lidar_before = compose(lidar_before, m_lidar)
             radar_before = compose(radar_before, m_radar)
 
-    last = stage_predictions[-1]
-    final = PredictionSet()
-    if last.cam_lidar is not None:
-        final = final.with_pair("cam_lidar", compose(last.cam_lidar, invert(lidar_before)))
-    if last.lidar_radar is not None:
-        final = final.with_pair(
-            "lidar_radar", compose(compose(lidar_before, last.lidar_radar), invert(radar_before))
-        )
-    if last.radar_cam is not None:
-        final = final.with_pair("radar_cam", compose(radar_before, last.radar_cam))
+    final = stage_predictions[-1].moved(lidar_before, radar_before)
     m_lidar, m_radar = corrections[-1]
     return RefinementResult(
         final=final,

@@ -21,24 +21,17 @@ __all__ = [
     "ProjectionConfig",
     "SphericalCoord",
     "cart_to_spherical",
-    "default_depth_image",
     "equirect_pixel",
     "equirect_range_pixels",
     "equirect_range_pixels_batch",
     "pinhole_range_pixels",
+    "pinhole_rays",
     "project_equirect",
     "project_pinhole",
-    "resize_bilinear",
+    "sphere_dirs",
     "unproject_equirect",
     "unproject_pinhole",
 ]
-
-# Rasterize-then-resize sizes used for full-resolution depth images.
-RASTER_HEIGHT = 1024
-RASTER_WIDTH = 2048
-RESIZED_HEIGHT = 512
-RESIZED_WIDTH = 1024
-
 
 class SphericalCoord(NamedTuple):
     azimuth: float  # radians in (-pi, pi]
@@ -383,13 +376,9 @@ def _equirect_segments(
 def project_equirect(cloud: PointCloud, cfg: ProjectionConfig) -> np.ndarray:
     """Equirectangular depth image; every point with r > 0 lands in-bounds.
 
-    A cloud without channels scatters ``equirect_range_pixels`` into the
-    raster (see ``_range_image``).  Channels need the point-index
-    tie-break of ``_winner_positions``.
+    Channels follow the nearest-wins survivor of ``_winner_positions``.
     """
     _check_schema(cloud, cfg)
-    if not cloud.schema:
-        return _range_image(*equirect_range_pixels(cloud.xyz, cfg), cfg)
     r = _ranges(cloud.xyz)
     keep = r > 0.0
     xyz, r = cloud.xyz[keep], r[keep]
@@ -430,17 +419,28 @@ def pinhole_range_pixels(xyz: np.ndarray, cfg: ProjectionConfig) -> tuple[np.nda
 def project_pinhole(cloud: PointCloud, cfg: ProjectionConfig) -> np.ndarray:
     """Pinhole depth image looking along +z; out-of-frustum points are dropped.
 
-    A cloud without channels takes the packed-key reduction of
-    ``_nearest_per_pixel`` (see ``_range_image``); channels need the
-    point-index tie-break of ``_winner_positions``.
+    Channels follow the nearest-wins survivor of ``_winner_positions``.
     """
     if cfg.mode != "pinhole":
         raise ValueError("project_pinhole requires a pinhole ProjectionConfig")
     _check_schema(cloud, cfg)
-    if not cloud.schema:
-        return _range_image(*pinhole_range_pixels(cloud.xyz, cfg), cfg)
     pix, r, index = _pinhole_pixels(cloud.xyz, cfg)
     return _rasterize(pix, r, cloud.channels[index], index, cfg)
+
+
+def pinhole_rays(u: np.ndarray, v: np.ndarray, cfg: ProjectionConfig) -> np.ndarray:
+    """(N, 3) unit rays through the centres of the pixels (u, v) of a pinhole image."""
+    dx = (u + 0.5 - cfg.cx) / cfg.fx
+    dy = (v + 0.5 - cfg.cy) / cfg.fy
+    dirs = np.stack([dx, dy, np.ones_like(dx)], axis=1)
+    dirs /= _ranges(dirs)[:, None]
+    return dirs
+
+
+def sphere_dirs(azimuth: np.ndarray, elevation: np.ndarray) -> np.ndarray:
+    """(N, 3) unit vectors at the given azimuths and elevations (radians)."""
+    az, el = azimuth, elevation
+    return np.stack([np.cos(el) * np.cos(az), np.cos(el) * np.sin(az), np.sin(el)], axis=1)
 
 
 def unproject_pinhole(img: np.ndarray, cfg: ProjectionConfig, *, first_row: int = 0) -> PointCloud:
@@ -456,11 +456,7 @@ def unproject_pinhole(img: np.ndarray, cfg: ProjectionConfig, *, first_row: int 
     v, u = np.nonzero(r > 0)
     ranges = r[v, u].astype(float)
     v += first_row
-    dx = (u + 0.5 - cfg.cx) / cfg.fx
-    dy = (v + 0.5 - cfg.cy) / cfg.fy
-    dirs = np.stack([dx, dy, np.ones_like(dx)], axis=1)
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    return PointCloud.bare(dirs * ranges[:, None])
+    return PointCloud.bare(pinhole_rays(u, v, cfg) * ranges[:, None])
 
 
 def unproject_equirect(img: np.ndarray, cfg: ProjectionConfig) -> PointCloud:
@@ -470,32 +466,4 @@ def unproject_equirect(img: np.ndarray, cfg: ProjectionConfig) -> PointCloud:
     ranges = r[v, u].astype(float)
     theta = (u + 0.5) / cfg.width * 2.0 * math.pi - math.pi
     phi = (1.0 - (v + 0.5) / cfg.height) * math.pi - 0.5 * math.pi
-    dirs = np.stack(
-        [np.cos(phi) * np.cos(theta), np.cos(phi) * np.sin(theta), np.sin(phi)], axis=1
-    )
-    return PointCloud.bare(dirs * ranges[:, None])
-
-
-def resize_bilinear(img: np.ndarray, width: int, height: int) -> np.ndarray:
-    """Per-channel bilinear resampling with half-pixel centers and edge clamp."""
-    if width < 1 or height < 1:
-        raise ValueError("target dimensions must be >= 1")
-    img = np.asarray(img)
-    src_h, src_w = img.shape[0], img.shape[1]
-    ys = np.clip((np.arange(height) + 0.5) * src_h / height - 0.5, 0.0, src_h - 1.0)
-    xs = np.clip((np.arange(width) + 0.5) * src_w / width - 0.5, 0.0, src_w - 1.0)
-    y0 = np.floor(ys).astype(np.int64)
-    x0 = np.floor(xs).astype(np.int64)
-    y1 = np.minimum(y0 + 1, src_h - 1)
-    x1 = np.minimum(x0 + 1, src_w - 1)
-    wy = (ys - y0)[:, None, None]
-    wx = (xs - x0)[None, :, None]
-    top = img[y0][:, x0] * (1.0 - wx) + img[y0][:, x1] * wx
-    bottom = img[y1][:, x0] * (1.0 - wx) + img[y1][:, x1] * wx
-    return (top * (1.0 - wy) + bottom * wy).astype(np.float32)
-
-
-def default_depth_image(cloud: PointCloud) -> np.ndarray:
-    """Full-resolution raster (1024x2048) resized to the 512x1024 working size."""
-    cfg = ProjectionConfig.equirect(RASTER_WIDTH, RASTER_HEIGHT, cloud.schema)
-    return resize_bilinear(project_equirect(cloud, cfg), RESIZED_WIDTH, RESIZED_HEIGHT)
+    return PointCloud.bare(sphere_dirs(theta, phi) * ranges[:, None])

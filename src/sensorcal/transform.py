@@ -99,11 +99,8 @@ class RigidTransform:
 
     def __post_init__(self) -> None:
         q = np.array(self.q, dtype=float).reshape(4)
-        t = np.array(self.t, dtype=float).reshape(3)
-        if not all(map(math.isfinite, q.tolist() + t.tolist())):
-            raise ValueError("RigidTransform components must be finite")
-        t.setflags(write=False)
-        object.__setattr__(self, "q", _unit_quat(q))
+        q, t = _checked(q, np.array(self.t, dtype=float).reshape(3))
+        object.__setattr__(self, "q", q)
         object.__setattr__(self, "t", t)
 
     def __eq__(self, other: object) -> bool:
@@ -220,30 +217,28 @@ def _quat_from_rotation_matrix(r: np.ndarray) -> np.ndarray:
     )
 
 
-def _built(q: np.ndarray, t: np.ndarray) -> RigidTransform:
-    """``RigidTransform(q=q, t=t)`` for new float64 arrays of shapes (4,) and (3,).
-
-    The same checks, normalisation and sign canonicalisation as the
-    constructor, without its defensive copies.
-    """
+def _checked(q: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The q and t that ``RigidTransform(q=q, t=t)`` holds: checked, q normalised
+    and sign-canonicalised, t made read-only.  q and t are new float64 arrays
+    of shapes (4,) and (3,), so no copy is taken; the constructor copies first."""
     if not all(map(math.isfinite, q.tolist() + t.tolist())):
         raise ValueError("RigidTransform components must be finite")
     t.setflags(write=False)
-    return RigidTransform._from_valid(_unit_quat(q), t)
+    return _unit_quat(q), t
 
 
 def compose(a: RigidTransform, b: RigidTransform) -> RigidTransform:
     """Composition a then-applied-after b: result.matrix() == a.matrix() @ b.matrix()."""
     q = np.array(_hamilton(a.q.tolist(), b.q.tolist()))
     t = a._rotation @ b.t + a.t
-    return _built(q, t)
+    return RigidTransform._from_valid(*_checked(q, t))
 
 
 def invert(a: RigidTransform) -> RigidTransform:
     w, x, y, z = a.q.tolist()
     q_inv = np.array([w, -x, -y, -z])
     t_inv = -(a._rotation.T @ a.t)
-    return _built(q_inv, t_inv)
+    return RigidTransform._from_valid(*_checked(q_inv, t_inv))
 
 
 def transform_points(a: RigidTransform, xyz: np.ndarray) -> np.ndarray:
@@ -277,16 +272,16 @@ def _euler_quat(roll: float, pitch: float, yaw: float) -> np.ndarray:
 
 def from_euler(e: EulerPose) -> RigidTransform:
     """Rotation Rz(yaw) @ Ry(pitch) @ Rx(roll), translation copied."""
-    q = _euler_quat(e.roll, e.pitch, e.yaw)
-    return RigidTransform(q=q, t=np.array([e.tx, e.ty, e.tz], dtype=float))
+    return from_euler_vector(e.as_array())
 
 
 def from_euler_vector(x) -> RigidTransform:
     """``from_euler(EulerPose.from_array(x))`` without the dataclass round trips.
 
-    The optimizers call this once per candidate.  It runs the same quaternion
-    arithmetic, normalisation and sign canonicalisation as the slow path, so
-    q, t and the rotation matrix are bit-identical to it.
+    The optimizers call this once per candidate.  It runs the quaternion
+    arithmetic, normalisation and sign canonicalisation of the constructor,
+    so q, t and the rotation matrix are bit-identical to
+    ``RigidTransform(q=_euler_quat(roll, pitch, yaw), t=(tx, ty, tz))``.
     """
     values = np.asarray(x, dtype=float).reshape(6).tolist()
     if not all(map(math.isfinite, values)):

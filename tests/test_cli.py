@@ -1,11 +1,13 @@
 import filecmp
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sensorcal.cli import main
+from sensorcal.dataio import write_pgm
 from sensorcal.errors import ParseError
 
 GEN_ARGS = [
@@ -227,6 +229,13 @@ def test_render_predicted_requires_pred(frames_dir, tmp_path):
          "manifest.json: not a JSON manifest"),
         (["calibrate", "--frames", "{empty}", "--scenario", "small"], 2,
          "manifest.json: 'camera' must be an object"),
+        (["calibrate", "--frames", "{cut_lidar}", "--scenario", "small"], 2,
+         "values is not a multiple of record size 4"),
+        (["calibrate", "--frames", "{cut_depth}", "--scenario", "small"], 2,
+         "camera_depth.pgm: raster has 0 bytes"),
+        *(([command, "--frames", "{wrong_size}"], 2,
+           "camera_depth.pgm: depth image is 200x100, the camera is 640x320")
+          for command in ("calibrate", "perturb", "render")),
         (["evaluate", "--pred", "{bad}"], 2, "expected the predictions.csv header"),
         # gt comes first, so a late rejection would already have written its overlay
         (["render", "--frames", "{frames}", "--source", "gt", "predicted"], 1,
@@ -237,6 +246,11 @@ def test_render_predicted_requires_pred(frames_dir, tmp_path):
         "calibrate-missing-frames",
         "calibrate-manifest-not-json",
         "calibrate-manifest-empty-object",
+        "calibrate-corrupt-lidar",
+        "calibrate-depth-cut-after-header",
+        "calibrate-depth-image-size",
+        "perturb-depth-image-size",
+        "render-depth-image-size",
         "evaluate",
         "render",
     ],
@@ -249,11 +263,23 @@ def test_rejected_command_writes_nothing(frames_dir, tmp_path, capsys, args, cod
         (tmp_path / name).mkdir()
         (tmp_path / name / "manifest.json").write_text(text)
     dirs = {name: tmp_path / name for name in manifests}
+    # copies of the frames with the last frame's lidar.bin one byte short,
+    # its camera_depth.pgm cut after the header, or a 200x100 depth image
+    # under the manifest's 640x320 camera
+    last = {}
+    for name in ("cut_lidar", "cut_depth", "wrong_size"):
+        dirs[name] = shutil.copytree(frames_dir, tmp_path / name)
+        last[name] = dirs[name] / "frame_001"
+    lidar = last["cut_lidar"] / "lidar.bin"
+    lidar.write_bytes(lidar.read_bytes()[:-1])
+    (last["cut_depth"] / "camera_depth.pgm").write_bytes(b"P5\n640 320\n65535\n")
+    write_pgm(np.zeros((100, 200)), last["wrong_size"] / "camera_depth.pgm", 80.0)
     args = [a.format(frames=frames_dir, bad=bad, missing=tmp_path / "missing", **dirs) for a in args]
     out = tmp_path / "out"
     capsys.readouterr()
     assert main([*args, "--out", str(out)]) == code
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
     assert not out.exists()
     # an existing directory is left exactly as it was
     out.mkdir()
@@ -335,7 +361,8 @@ def test_calibrate_run_estimator_seeds(frames_dir, monkeypatch, scenario, multif
         "estimator": "oracle", "loop_weight": 0.25, "budget": 1600, "seed": 13,
         "multiframe": multiframe, "run": 3,
     }
-    cli._calibrate_run(task)
+    frames, _ = cli._load_frames(frames_dir)
+    cli._calibrate_run(frames, task)
     assert seeds == [
         int(np.random.SeedSequence(key).generate_state(1)[0]) for key in keys(13, 3)
     ]

@@ -296,8 +296,6 @@ def test_stage_validation():
     with pytest.raises(ValueError):
         EstimatorStage(bounds=SMALL, budget=0)
     with pytest.raises(ValueError):
-        EstimatorStage(bounds=SMALL, tolerance=0.0)
-    with pytest.raises(ValueError):
         AlignmentCostConfig(occupancy_penalty=-1.0)
     with pytest.raises(ValueError):
         AlignmentCostConfig(min_overlap=0)

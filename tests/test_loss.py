@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sensorcal.data import PointCloud
 from sensorcal.errors import EmptyCloudError, MissingPairError
 from sensorcal.loss import (
+    PAIR_NAMES,
     LossWeights,
     PredictionSet,
     loop_loss,
@@ -245,3 +248,53 @@ def test_prediction_sets_compare_by_transform_values():
     assert PredictionSet(cam_lidar=edge) != PredictionSet(cam_lidar=IDENTITY)
     assert PredictionSet(cam_lidar=edge) != PredictionSet(radar_cam=edge)
     assert PredictionSet() == PredictionSet()
+
+
+_angles = st.floats(-3.2, 3.2)
+_offsets = st.floats(-5.0, 5.0)
+_poses = st.tuples(_angles, _angles, _angles, _offsets, _offsets, _offsets).map(
+    lambda v: from_euler(EulerPose(*v))
+)
+_edge_sets = st.tuples(*[st.none() | _poses] * 3).map(lambda edges: PredictionSet(*edges))
+
+
+def assert_same_edges(a, b, atol):
+    for name in PAIR_NAMES:
+        x, y = a.get(name), b.get(name)
+        assert (x is None) == (y is None), name
+        if x is not None:
+            assert np.allclose(x.matrix(), y.matrix(), rtol=0.0, atol=atol), name
+
+
+@given(_edge_sets, _poses, _poses)
+def test_moved_is_the_one_edge_formula(edges, lidar, radar):
+    moved = edges.moved(lidar, radar)
+    # bit for bit the compositions that true_edges and refine_multiframe made
+    # before they shared moved()
+    explicit = {
+        "cam_lidar": lambda e: compose(e, invert(lidar)),
+        "lidar_radar": lambda e: compose(compose(lidar, e), invert(radar)),
+        "radar_cam": lambda e: compose(radar, e),
+    }
+    for name, edge in edges.present():
+        expected = explicit[name](edge)
+        assert moved.get(name).q.tobytes() == expected.q.tobytes()
+        assert moved.get(name).t.tobytes() == expected.t.tobytes()
+    assert [name for name, _ in moved.present()] == [name for name, _ in edges.present()]
+    # compose renormalises q, which can move its last bit
+    assert_same_edges(edges.moved(IDENTITY, IDENTITY), edges, atol=1e-14)
+
+
+@given(_edge_sets, _poses, _poses, _poses, _poses)
+def test_moving_twice_is_moving_by_the_composition(edges, l1, r1, l2, r2):
+    assert_same_edges(
+        edges.moved(l1, r1).moved(l2, r2), edges.moved(compose(l2, l1), compose(r2, r1)), 1e-9
+    )
+
+
+@given(_poses, _poses, _poses, _poses)
+def test_moving_keeps_a_closed_loop_closed(cam_lidar, lidar_radar, lidar, radar):
+    closed = PredictionSet(
+        cam_lidar, lidar_radar, invert(compose(cam_lidar, lidar_radar))
+    ).moved(lidar, radar)
+    assert np.allclose(loop_transform(closed).matrix(), np.eye(4), rtol=0.0, atol=1e-9)

@@ -15,6 +15,7 @@ from sensorcal.projection import (
     ProjectionConfig,
     SphericalCoord,
     _merge_nearest,
+    _range_image,
     _ranges,
     _rasterize,
     _row_blocks,
@@ -26,7 +27,6 @@ from sensorcal.projection import (
     pinhole_range_pixels,
     project_equirect,
     project_pinhole,
-    resize_bilinear,
     unproject_pinhole,
 )
 from sensorcal.transform import RigidTransform, from_euler_vector, transform_points
@@ -300,16 +300,18 @@ def test_range_pixels_put_non_finite_elevations_in_row_0():
     height=st.integers(1, 24),
 )
 def test_project_equirect_bare_equals_rasterize_path(xyz, width, height):
+    # the packed-key reduction that gen-scene and the estimator use
     cfg = ProjectionConfig.equirect(width, height)
-    cloud = PointCloud.bare(xyz)
-    assert project_equirect(cloud, cfg).tobytes() == rasterize_reference(cloud, cfg).tobytes()
+    img = _range_image(*equirect_range_pixels(xyz, cfg), cfg)
+    assert img.tobytes() == rasterize_reference(PointCloud.bare(xyz), cfg).tobytes()
 
 
 def test_project_equirect_bare_equals_rasterize_path_on_a_camera_cloud():
     rng = np.random.default_rng(25)
     cfg = ProjectionConfig.equirect(1536, 768)
-    cloud = PointCloud.bare(rng.normal(0.0, 15.0, (60000, 3)))
-    assert project_equirect(cloud, cfg).tobytes() == rasterize_reference(cloud, cfg).tobytes()
+    xyz = rng.normal(0.0, 15.0, (60000, 3))
+    img = _range_image(*equirect_range_pixels(xyz, cfg), cfg)
+    assert img.tobytes() == rasterize_reference(PointCloud.bare(xyz), cfg).tobytes()
 
 
 def pinhole_rasterize_reference(cloud, cfg):
@@ -346,9 +348,14 @@ def test_project_pinhole_bare_equals_rasterize_path(xyz, layout, width, height, 
 
 
 def assert_pinhole_equals_reference(cloud, cfg):
+    """Bare clouds through the packed-key reduction that gen-scene and render
+    use, clouds with channels through project_pinhole."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        img = project_pinhole(cloud, cfg)
+        if cloud.schema:
+            img = project_pinhole(cloud, cfg)
+        else:
+            img = _range_image(*pinhole_range_pixels(cloud.xyz, cfg), cfg)
     with np.errstate(invalid="ignore", over="ignore"):  # the reference casts columns past int64
         ref = pinhole_rasterize_reference(cloud, cfg)
     assert img.tobytes() == ref.tobytes()
@@ -376,9 +383,8 @@ def test_project_pinhole_bare_equals_rasterize_path_on_a_camera_cloud():
     cfg = ProjectionConfig.pinhole(640, 320, fx=320.0, fy=320.0, cx=320.0, cy=160.0)
     xyz = rng.normal(0.0, 15.0, (60000, 3))
     xyz[:20000] = np.round(xyz[:20000], 1)  # many points per pixel, exact ties
-    cloud = PointCloud.bare(xyz)
-    img = project_pinhole(cloud, cfg)
-    assert img.tobytes() == pinhole_rasterize_reference(cloud, cfg).tobytes()
+    img = _range_image(*pinhole_range_pixels(xyz, cfg), cfg)
+    assert img.tobytes() == pinhole_rasterize_reference(PointCloud.bare(xyz), cfg).tobytes()
 
 
 _ranges_elements = st.floats(allow_nan=False) | st.sampled_from([0.0, -0.0])
@@ -574,37 +580,6 @@ def test_unproject_pinhole_roundtrip():
     occ = img[..., 0] > 0
     assert np.array_equal(occ, img2[..., 0] > 0)
     assert np.allclose(img[occ, 0], img2[occ, 0], rtol=1e-5)
-
-
-def test_resize_constant_and_identity():
-    img = np.full((8, 16, 2), 3.25, dtype=np.float32)
-    out = resize_bilinear(img, 5, 3)
-    assert out.shape == (3, 5, 2)
-    assert np.allclose(out, 3.25)
-    same = resize_bilinear(img, 16, 8)
-    assert np.allclose(same, img, atol=1e-6)
-
-
-def test_resize_2x2_to_center_average():
-    img = np.array([[0.0, 2.0], [2.0, 4.0]], dtype=np.float32)[..., None]
-    out = resize_bilinear(img, 1, 1)
-    assert out.shape == (1, 1, 1)
-    assert abs(float(out[0, 0, 0]) - 2.0) < 1e-6
-
-
-def test_default_depth_image_pipeline():
-    from sensorcal.projection import default_depth_image
-
-    rng = np.random.default_rng(26)
-    cloud = PointCloud(
-        xyz=rng.uniform(-20, 20, (500, 3)),
-        channels=rng.uniform(0, 1, (500, 1)),
-        schema=("intensity",),
-    )
-    img = default_depth_image(cloud)
-    assert img.shape == (512, 1024, 2)
-    full = project_equirect(cloud, ProjectionConfig.equirect(2048, 1024, ("intensity",)))
-    assert np.array_equal(img, resize_bilinear(full, 1024, 512))
 
 
 def test_unproject_equirect_roundtrip():
