@@ -57,7 +57,6 @@ from .loss import (
     param_loss,
     point_loss,
     smooth_l1,
-    total_loss,
 )
 from .metrics import (
     ErrorRecord,

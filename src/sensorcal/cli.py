@@ -48,7 +48,7 @@ from .metrics import (
     summarize_by_pair,
     summary_csv,
 )
-from .perturb import PRESETS, apply_miscalibration, sample_miscalibration
+from .perturb import PRESETS, MiscalBounds, apply_miscalibration, sample_miscalibration
 from .pipeline import aggregate_sequence, refine_multiframe, stages_from_preset
 from .projection import ProjectionConfig, pinhole_range_pixels
 from .transform import RigidTransform, invert, transform_points
@@ -58,13 +58,11 @@ DEPTH_SCALE = 80.0
 # Not called here: bench/tracing.py wraps sensorcal.cli.refine_iterative by name.
 refine_iterative = refine_multiframe
 
+# scenario name -> (preset, rigid): each preset, and rigid-<preset>
 _SCENARIOS = {
-    "small": ("small", False),
-    "refine": ("refine", False),
-    "full": ("full", False),
-    "rigid-small": ("small", True),
-    "rigid-refine": ("refine", True),
-    "rigid-full": ("full", True),
+    prefix + name: (name, rigid)
+    for prefix, rigid in (("", False), ("rigid-", True))
+    for name in PRESETS
 }
 
 
@@ -75,27 +73,17 @@ def _write_manifest(out_dir: Path, payload: dict) -> None:
     )
 
 
+# the pinhole camera's numbers in a frames manifest, in ProjectionConfig.pinhole's order
+_INTRINSICS = ("width", "height", "fx", "fy", "cx", "cy")
+_CAMERA_FIELDS = (*_INTRINSICS, "depth_scale")
+
+
 def _camera_manifest(cfg: ProjectionConfig) -> dict:
-    return {
-        "width": cfg.width,
-        "height": cfg.height,
-        "fx": cfg.fx,
-        "fy": cfg.fy,
-        "cx": cfg.cx,
-        "cy": cfg.cy,
-        "depth_scale": DEPTH_SCALE,
-    }
+    return {**{f: getattr(cfg, f) for f in _INTRINSICS}, "depth_scale": DEPTH_SCALE}
 
 
 def _camera_from_manifest(camera: dict) -> ProjectionConfig:
-    return ProjectionConfig.pinhole(
-        camera["width"],
-        camera["height"],
-        fx=camera["fx"],
-        fy=camera["fy"],
-        cx=camera["cx"],
-        cy=camera["cy"],
-    )
+    return ProjectionConfig.pinhole(*(camera[f] for f in _INTRINSICS))
 
 
 def _frame_dirs(root: Path, n_frames: int) -> list[Path]:
@@ -104,18 +92,16 @@ def _frame_dirs(root: Path, n_frames: int) -> list[Path]:
     return [root / f"frame_{k:03d}" for k in range(n_frames)]
 
 
-_CAMERA_FIELDS = ("width", "height", "fx", "fy", "cx", "cy", "depth_scale")
-
-
-def _is_number(value: object) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def _is_finite_number(value: object) -> bool:
+    return type(value) is int or (type(value) is float and math.isfinite(value))
 
 
 def _read_manifest(root: Path) -> dict:
     """The frames manifest under root, with the fields that loading frames reads.
 
     Raises ParseError when the file is not a JSON object, or its ``camera``
-    or ``frames`` field is missing or malformed.
+    or ``frames`` field is missing or malformed: every camera number must be
+    finite, and fx, fy and depth_scale positive.
     """
     path = root / "manifest.json"
     try:
@@ -125,8 +111,14 @@ def _read_manifest(root: Path) -> dict:
     if not isinstance(manifest, dict):
         raise ParseError(f"{path}: expected a JSON object")
     camera = manifest.get("camera")
-    if not isinstance(camera, dict) or not all(_is_number(camera.get(f)) for f in _CAMERA_FIELDS):
-        raise ParseError(f"{path}: 'camera' must be an object with numbers {', '.join(_CAMERA_FIELDS)}")
+    if not isinstance(camera, dict) or not all(
+        _is_finite_number(camera.get(f)) for f in _CAMERA_FIELDS
+    ):
+        raise ParseError(
+            f"{path}: 'camera' must be an object with finite numbers {', '.join(_CAMERA_FIELDS)}"
+        )
+    if not all(camera[f] > 0 for f in ("fx", "fy", "depth_scale")):
+        raise ParseError(f"{path}: camera fx, fy and depth_scale must be > 0")
     counts = (camera["width"], camera["height"], manifest.get("frames"))
     if not all(type(n) is int and n >= 1 for n in counts):
         raise ParseError(f"{path}: camera width and height and 'frames' must be integers >= 1")
@@ -225,7 +217,7 @@ def cmd_perturb(args: argparse.Namespace) -> int:
     out = Path(args.out)
     frames, manifest = _load_frames(src)
     out.mkdir(parents=True, exist_ok=True)
-    bounds = _bounds_from_args(args)
+    bounds = MiscalBounds(args.max_translation, math.radians(args.max_rotation))
     rng = np.random.default_rng(np.random.SeedSequence((args.seed, 0)))
     dirs = _frame_dirs(out, len(frames))
     for frame, frame_dir in zip(frames, dirs):
@@ -249,12 +241,6 @@ def cmd_perturb(args: argparse.Namespace) -> int:
     )
     print(f"wrote {len(frames)} perturbed frame(s) to {out}")
     return 0
-
-
-def _bounds_from_args(args: argparse.Namespace):
-    from .perturb import MiscalBounds
-
-    return MiscalBounds(args.max_translation, math.radians(args.max_rotation))
 
 
 def _build_estimator(name: str, w: LossWeights, cfg: AlignmentCostConfig, seed: int):
@@ -390,8 +376,6 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
         return 1
     # a missing or unreadable frame fails here, before --out is created
     frames, _ = _load_frames(Path(args.frames))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     task_base = {
         "frames_dir": args.frames,
         "preset": preset_name,
@@ -412,6 +396,9 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
         results = map(run, tasks)
     all_rows = [row for _, rows in results for row in rows]
 
+    # every run has finished, so a failed calibration leaves no --out behind
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     (out / "predictions.csv").write_text(_predictions_csv(all_rows), encoding="ascii")
     first_run_final = {row["pair"]: _pose(row["pred"]) for row in all_rows if row["run"] == 0}
     save_calib(first_run_final, out / "predicted_calib.txt")
@@ -477,9 +464,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _overlay(frame: FrameSet, edges: PredictionSet, out_path: Path) -> None:
-    """Camera depth base image with projected lidar/radar points on top."""
-    base = np.clip(frame.camera_depth[..., 0] / DEPTH_SCALE, 0.0, 1.0)
+def _overlay(frame: FrameSet, edges: PredictionSet, depth_scale: float, out_path: Path) -> None:
+    """Camera depth base image, scaled by depth_scale, with projected lidar/radar points on top."""
+    base = np.clip(frame.camera_depth[..., 0] / depth_scale, 0.0, 1.0)
     img = (base * 0.5 * 65535.0).astype(np.uint16)
     layers = []
     if edges.cam_lidar is not None:
@@ -496,7 +483,7 @@ def cmd_render(args: argparse.Namespace) -> int:
     if "predicted" in args.source and not args.pred:
         print("error: --pred required for source 'predicted'", file=sys.stderr)
         return 1
-    frames, _ = _load_frames(Path(args.frames))
+    frames, manifest = _load_frames(Path(args.frames))
     pred_edges = None
     if args.pred:
         calib = load_calib(args.pred)
@@ -504,14 +491,16 @@ def cmd_render(args: argparse.Namespace) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for frame in frames:
-        fixed = PredictionSet(frame.fixed_cam_lidar, frame.fixed_lidar_radar, frame.fixed_radar_cam)
         edges = {
-            "gt": fixed.moved(frame.lidar_mis, frame.radar_mis),
-            "miscalibrated": fixed,
+            "gt": true_edges(frame),
+            "miscalibrated": PredictionSet(
+                frame.fixed_cam_lidar, frame.fixed_lidar_radar, frame.fixed_radar_cam
+            ),
             "predicted": pred_edges,
         }
         for source in args.source:
-            _overlay(frame, edges[source], out / f"frame_{frame.index:03d}_{source}.pgm")
+            out_path = out / f"frame_{frame.index:03d}_{source}.pgm"
+            _overlay(frame, edges[source], manifest["camera"]["depth_scale"], out_path)
     print(f"wrote overlays to {out}")
     return 0
 

@@ -71,10 +71,6 @@ class PointCloud:
         return replace(self, xyz=self.xyz[index], channels=self.channels[index])
 
 
-def _identity() -> RigidTransform:
-    return RigidTransform.identity()
-
-
 @dataclass(frozen=True, eq=False)
 class FrameSet:
     """One synchronized multi-sensor frame.
@@ -94,5 +90,5 @@ class FrameSet:
     fixed_cam_lidar: RigidTransform
     fixed_lidar_radar: RigidTransform
     fixed_radar_cam: RigidTransform
-    lidar_mis: RigidTransform = field(default_factory=_identity)
-    radar_mis: RigidTransform = field(default_factory=_identity)
+    lidar_mis: RigidTransform = field(default_factory=RigidTransform.identity)
+    radar_mis: RigidTransform = field(default_factory=RigidTransform.identity)

@@ -521,7 +521,7 @@ def read_pgm(path) -> np.ndarray:
 # --- frame directories --------------------------------------------------------
 
 
-def save_frame(frame: FrameSet, out_dir, depth_scale: float = 80.0) -> None:
+def save_frame(frame: FrameSet, out_dir, depth_scale: float) -> None:
     """Write one frame as lidar.bin, radar.bin, camera_depth.pgm, calib.txt.
 
     A mis.txt with the applied miscalibration appears only for perturbed
@@ -556,7 +556,7 @@ def save_frame(frame: FrameSet, out_dir, depth_scale: float = 80.0) -> None:
 def load_frame(
     frame_dir,
     camera: ProjectionConfig,
-    depth_scale: float = 80.0,
+    depth_scale: float,
     index: int = 0,
 ) -> FrameSet:
     """Inverse of save_frame given the camera config from the manifest."""

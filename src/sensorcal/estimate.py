@@ -11,7 +11,7 @@ and identity test doubles plug into the same pipeline slots.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
@@ -77,17 +77,13 @@ class EstimatorStage:
             raise ValueError("budget must be >= 1")
 
 
-def _default_cost_projection() -> ProjectionConfig:
-    return ProjectionConfig.equirect(1536, 768)
-
-
 @dataclass(frozen=True)
 class AlignmentCostConfig:
     """Parameters of the raster-comparison cost."""
 
     occupancy_penalty: float = 2.0
     min_overlap: int = 8
-    projection: ProjectionConfig = field(default_factory=_default_cost_projection)
+    projection: ProjectionConfig = ProjectionConfig.equirect(1536, 768)
 
     def __post_init__(self) -> None:
         if self.occupancy_penalty < 0.0:
@@ -191,9 +187,10 @@ def _nelder_mead(
     return minimize(cost_fn, x0, options=_nm_options(x0, box, maxfev, step_fraction))
 
 
-# Boxes with rotation bounds beyond this get a rotation-grid screen: uniform
-# starts almost never land inside the (few-degree) attraction basin when the
-# box spans tens of degrees per axis.
+# Boxes whose rotation half-width exceeds this (radians) draw their seven
+# non-identity starts from a rotation-only grid, ranked by cost, instead of
+# uniformly; the grid spaces its points about _SCREEN_TARGET_STEP apart, with
+# at most _SCREEN_MAX_PER_AXIS per axis.
 _SCREEN_ROTATION = 0.1
 _SCREEN_TARGET_STEP = 0.06
 _SCREEN_MAX_PER_AXIS = 13
@@ -242,9 +239,8 @@ def _multistart(
     return best_x, best_f
 
 
-# Coarse raster used for the global search phase: with point-sampled targets
-# the basin of attraction at the working resolution is about one pixel wide,
-# so the multi-start phase runs on a downsampled problem first.
+# Raster of estimate_pairwise's multi-start phase: the starts compete on this
+# downsampled problem, and only the winner is polished at the caller's raster.
 _COARSE_SHAPE = (128, 64)
 
 
@@ -632,20 +628,15 @@ def estimate_multiframe(
     # by the composition of the other two.  This is where the dense lidar
     # data gets a vote on the sparse radar edges; the joint objective picks
     # whichever seed the alignment evidence actually supports.
-    edges = {p.name: p.edge(xs[p.name]) for p in problems}
-    seeds = [dict(xs)]
-    by_name = {p.name: p for p in problems}
-    rc_closed = invert(compose(edges["cam_lidar"], edges["lidar_radar"]))
-    lr_closed = compose(invert(edges["cam_lidar"]), invert(edges["radar_cam"]))
-    for name, closed in (("radar_cam", rc_closed), ("lidar_radar", lr_closed)):
-        variant = dict(xs)
-        variant[name] = by_name[name].coords(closed)
-        seeds.append(variant)
-
+    consistent = _loop_consistent(preds)
+    # the three edges in PAIR_NAMES order, six coordinates each
     x0 = np.concatenate([xs[p.name] for p in problems])
-    f0 = joint_cost(x0)
-    candidates = [np.concatenate([s[p.name] for p in problems]) for s in seeds]
-    scores = [f0] + [joint_cost(c) for c in candidates[1:]]
+    rc_seed, lr_seed = x0.copy(), x0.copy()
+    rc_seed[12:] = problems[2].coords(invert(compose(preds.cam_lidar, preds.lidar_radar)))
+    lr_seed[6:12] = problems[1].coords(consistent.lidar_radar)
+    candidates = [x0, rc_seed, lr_seed]
+    scores = [joint_cost(c) for c in candidates]
+    f0 = scores[0]
     start = candidates[int(np.argmin(scores))]
 
     box = np.concatenate([p.box for p in problems])
@@ -653,7 +644,7 @@ def estimate_multiframe(
     # Hysteresis: plateau noise in the alignment terms makes sub-0.1%
     # "improvements" meaningless, so only genuine descent replaces the init.
     if not f_polished < f0 * (1.0 - 1e-3):
-        return _loop_consistent(preds)
+        return consistent
     polished = {p.name: x_polished[6 * i : 6 * i + 6] for i, p in enumerate(problems)}
     return _loop_consistent(_predictions(problems, polished))
 
@@ -682,34 +673,28 @@ def identity_estimator(
     return PredictionSet(cam_lidar=identity, lidar_radar=identity, radar_cam=identity)
 
 
-def joint_estimator(w: LossWeights, cfg: AlignmentCostConfig, *, seed: int = 0) -> Estimator:
-    """Bind the joint reference estimator into the pipeline interface."""
-
+def _estimator(
+    w: LossWeights, cfg: AlignmentCostConfig, pairs: tuple[str, ...], seed: int
+) -> Estimator:
+    """``estimate_multiframe`` bound to its settings, with one camera-target
+    cache kept across the stages it is called for."""
     camera_targets: dict = {}
 
     def run(frames: Sequence[FrameSet], stage: EstimatorStage) -> PredictionSet:
-        return estimate_multiframe(frames, stage, w, cfg, seed=seed, camera_targets=camera_targets)
+        return estimate_multiframe(
+            frames, stage, w, cfg, pairs=pairs, seed=seed, camera_targets=camera_targets
+        )
 
     return run
+
+
+def joint_estimator(w: LossWeights, cfg: AlignmentCostConfig, *, seed: int = 0) -> Estimator:
+    """Bind the joint reference estimator into the pipeline interface."""
+    return _estimator(w, cfg, PAIR_NAMES, seed)
 
 
 def pairwise_estimator(
     cfg: AlignmentCostConfig, *, pairs: Iterable[str] = PAIR_NAMES, seed: int = 0
 ) -> Estimator:
     """Independent per-pair estimation without the loop-closure polish."""
-    pairs = tuple(pairs)
-
-    camera_targets: dict = {}
-
-    def run(frames: Sequence[FrameSet], stage: EstimatorStage) -> PredictionSet:
-        return estimate_multiframe(
-            frames,
-            stage,
-            LossWeights(loop_weight=0.0),
-            cfg,
-            pairs=pairs,
-            seed=seed,
-            camera_targets=camera_targets,
-        )
-
-    return run
+    return _estimator(LossWeights(loop_weight=0.0), cfg, tuple(pairs), seed)

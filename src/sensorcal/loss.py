@@ -1,8 +1,8 @@
-"""Calibration objective: parameter, point-cloud, pairwise, and loop losses.
+"""Calibration losses: parameter, point-cloud, pairwise, and loop losses.
 
-The total objective blends the summed pairwise losses with a loop-closure
-consistency term; each pairwise loss blends a smooth-L1 parameter distance
-with a mean point-displacement distance.
+Each pairwise loss blends a smooth-L1 parameter distance with a mean
+point-displacement distance; the loop loss is the same blend between the
+composed loop and the identity.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ __all__ = [
     "param_loss",
     "point_loss",
     "smooth_l1",
-    "total_loss",
 ]
 
 PAIR_NAMES = ("cam_lidar", "lidar_radar", "radar_cam")
@@ -173,26 +172,4 @@ def loop_transform(p: PredictionSet) -> RigidTransform:
 
 def loop_loss(p: PredictionSet, loop_cloud: PointCloud, w: LossWeights) -> float:
     """Blended distance between the composed loop and the identity."""
-    loop = loop_transform(p)
-    identity = RigidTransform.identity()
-    return (1.0 - w.point_weight) * param_loss(loop, identity, w) + w.point_weight * point_loss(
-        loop, identity, loop_cloud
-    )
-
-
-def total_loss(
-    preds: PredictionSet,
-    gts: PredictionSet,
-    clouds: Mapping[str, PointCloud],
-    loop_cloud: PointCloud,
-    w: LossWeights,
-) -> float:
-    """(1 - loop_weight) * pairwise + loop_weight * loop.
-
-    With loop_weight == 0 the loop term is skipped entirely, so the result
-    equals pairwise_loss bit-for-bit and absent pairs stay permitted.
-    """
-    pairwise = pairwise_loss(preds, gts, clouds, w)
-    if w.loop_weight == 0.0:
-        return pairwise
-    return (1.0 - w.loop_weight) * pairwise + w.loop_weight * loop_loss(p=preds, loop_cloud=loop_cloud, w=w)
+    return _pair_loss(loop_transform(p), RigidTransform.identity(), loop_cloud, w)

@@ -50,21 +50,17 @@ class ScenarioPreset:
                 raise ValueError(f"stage bounds must strictly decrease in {self.name!r}")
 
 
-def _deg(x: float) -> float:
-    return math.radians(x)
-
-
 _REFINE_STAGES = (
-    MiscalBounds(1.0, _deg(20.0)),
-    MiscalBounds(0.5, _deg(5.0)),
-    MiscalBounds(0.2, _deg(1.0)),
-    MiscalBounds(0.05, _deg(0.5)),
+    MiscalBounds(1.0, math.radians(20.0)),
+    MiscalBounds(0.5, math.radians(5.0)),
+    MiscalBounds(0.2, math.radians(1.0)),
+    MiscalBounds(0.05, math.radians(0.5)),
 )
 
 PRESETS = {
-    "small": ScenarioPreset("small", (MiscalBounds(0.2, _deg(1.0)),)),
+    "small": ScenarioPreset("small", (MiscalBounds(0.2, math.radians(1.0)),)),
     "refine": ScenarioPreset("refine", _REFINE_STAGES),
-    "full": ScenarioPreset("full", (MiscalBounds(2.0, _deg(180.0)),) + _REFINE_STAGES),
+    "full": ScenarioPreset("full", (MiscalBounds(2.0, math.radians(180.0)),) + _REFINE_STAGES),
 }
 
 

@@ -60,8 +60,6 @@ class RefinementResult:
     final: PredictionSet
     stage_predictions: tuple[PredictionSet, ...]
     corrections: tuple[tuple[RigidTransform, RigidTransform], ...]
-    lidar_total: RigidTransform
-    radar_total: RigidTransform
 
 
 def refine_multiframe(
@@ -102,14 +100,10 @@ def refine_multiframe(
             lidar_before = compose(lidar_before, m_lidar)
             radar_before = compose(radar_before, m_radar)
 
-    final = stage_predictions[-1].moved(lidar_before, radar_before)
-    m_lidar, m_radar = corrections[-1]
     return RefinementResult(
-        final=final,
+        final=stage_predictions[-1].moved(lidar_before, radar_before),
         stage_predictions=tuple(stage_predictions),
         corrections=tuple(corrections),
-        lidar_total=compose(lidar_before, m_lidar),
-        radar_total=compose(radar_before, m_radar),
     )
 
 

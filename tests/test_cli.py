@@ -1,5 +1,6 @@
 import filecmp
 import json
+import math
 import shutil
 from pathlib import Path
 
@@ -177,6 +178,19 @@ def test_perturb_then_render(frames_dir, tmp_path):
     assert (render2 / "frame_000_gt.pgm").read_bytes() == gt
 
 
+def test_render_scales_depth_by_the_manifest(frames_dir, tmp_path):
+    # doubling the manifest's depth_scale doubles every loaded depth exactly,
+    # and the overlay's base image divides it back out: the same bytes
+    scaled = shutil.copytree(frames_dir, tmp_path / "scaled")
+    manifest = json.loads((scaled / "manifest.json").read_text())
+    manifest["camera"]["depth_scale"] *= 2
+    (scaled / "manifest.json").write_text(json.dumps(manifest))
+    for frames, out in ((frames_dir, "plain"), (scaled, "doubled")):
+        assert main(["render", "--frames", str(frames), "--out", str(tmp_path / out)]) == 0
+    for name in ("frame_000_gt.pgm", "frame_001_gt.pgm"):
+        assert (tmp_path / "plain" / name).read_bytes() == (tmp_path / "doubled" / name).read_bytes()
+
+
 def test_calibrate_multiframe_rigid(frames_dir, tmp_path):
     out = tmp_path / "mf"
     code = main(
@@ -229,6 +243,12 @@ def test_render_predicted_requires_pred(frames_dir, tmp_path):
          "manifest.json: not a JSON manifest"),
         (["calibrate", "--frames", "{empty}", "--scenario", "small"], 2,
          "manifest.json: 'camera' must be an object"),
+        (["calibrate", "--frames", "{zero_fx}", "--scenario", "small"], 2,
+         "manifest.json: camera fx, fy and depth_scale must be > 0"),
+        # the first frame calibrates, the second has no radar return in view
+        *((["calibrate", "--frames", "{far_radar}", "--scenario", "small", "--budget", "50",
+            "--jobs", jobs], 2, "error: stage 0: edge lidar_radar: no raster overlap")
+          for jobs in ("1", "2")),
         (["calibrate", "--frames", "{cut_lidar}", "--scenario", "small"], 2,
          "values is not a multiple of record size 4"),
         (["calibrate", "--frames", "{cut_depth}", "--scenario", "small"], 2,
@@ -246,6 +266,9 @@ def test_render_predicted_requires_pred(frames_dir, tmp_path):
         "calibrate-missing-frames",
         "calibrate-manifest-not-json",
         "calibrate-manifest-empty-object",
+        "calibrate-manifest-zero-fx",
+        "calibrate-no-radar-overlap",
+        "calibrate-no-radar-overlap-jobs-2",
         "calibrate-corrupt-lidar",
         "calibrate-depth-cut-after-header",
         "calibrate-depth-image-size",
@@ -264,16 +287,21 @@ def test_rejected_command_writes_nothing(frames_dir, tmp_path, capsys, args, cod
         (tmp_path / name / "manifest.json").write_text(text)
     dirs = {name: tmp_path / name for name in manifests}
     # copies of the frames with the last frame's lidar.bin one byte short,
-    # its camera_depth.pgm cut after the header, or a 200x100 depth image
-    # under the manifest's 640x320 camera
+    # its camera_depth.pgm cut after the header, a 200x100 depth image under
+    # the manifest's 640x320 camera, or three radar points 50 m ahead; or
+    # with fx 0 in the manifest
     last = {}
-    for name in ("cut_lidar", "cut_depth", "wrong_size"):
+    for name in ("cut_lidar", "cut_depth", "wrong_size", "far_radar", "zero_fx"):
         dirs[name] = shutil.copytree(frames_dir, tmp_path / name)
         last[name] = dirs[name] / "frame_001"
     lidar = last["cut_lidar"] / "lidar.bin"
     lidar.write_bytes(lidar.read_bytes()[:-1])
     (last["cut_depth"] / "camera_depth.pgm").write_bytes(b"P5\n640 320\n65535\n")
     write_pgm(np.zeros((100, 200)), last["wrong_size"] / "camera_depth.pgm", 80.0)
+    np.tile([50.0, 0, 0, 0, 0, 0], (3, 1)).astype("<f4").tofile(last["far_radar"] / "radar.bin")
+    manifest = json.loads((dirs["zero_fx"] / "manifest.json").read_text())
+    manifest["camera"]["fx"] = 0
+    (dirs["zero_fx"] / "manifest.json").write_text(json.dumps(manifest))
     args = [a.format(frames=frames_dir, bad=bad, missing=tmp_path / "missing", **dirs) for a in args]
     out = tmp_path / "out"
     capsys.readouterr()
@@ -304,6 +332,13 @@ _CAMERA = {"width": 64, "height": 32, "fx": 40.0, "fy": 40.0, "cx": 32.0, "cy": 
         (json.dumps({"camera": {**_CAMERA, "cy": True}, "frames": 1}).encode(), "'camera'"),
         (json.dumps({"camera": {**_CAMERA, "width": 64.0}, "frames": 1}).encode(), "integers"),
         (json.dumps({"camera": {**_CAMERA, "height": 0}, "frames": 1}).encode(), "integers"),
+        # json.dumps writes nan and inf as the literals NaN and Infinity
+        *((json.dumps({"camera": {**_CAMERA, field: value}, "frames": 1}).encode(), "'camera'")
+          for field, value in (("fx", math.nan), ("fy", math.inf), ("cx", -math.inf),
+                               ("depth_scale", math.nan))),
+        *((json.dumps({"camera": {**_CAMERA, field: value}, "frames": 1}).encode(), "must be > 0")
+          for field, value in (("fx", 0), ("fx", -40.0), ("fy", 0.0), ("depth_scale", 0),
+                               ("depth_scale", -80.0))),
         (json.dumps({"camera": _CAMERA}).encode(), "'frames' must be integers"),
         (json.dumps({"camera": _CAMERA, "frames": 0}).encode(), "'frames' must be integers"),
         (json.dumps({"camera": _CAMERA, "frames": True}).encode(), "'frames' must be integers"),

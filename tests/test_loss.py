@@ -17,7 +17,6 @@ from sensorcal.loss import (
     param_loss,
     point_loss,
     smooth_l1,
-    total_loss,
 )
 from sensorcal.transform import (
     EulerPose,
@@ -132,34 +131,6 @@ def test_loop_loss_examples():
     )
     origin = PointCloud.bare([[0.0, 0.0, 0.0]])
     assert abs(loop_loss(shifted, origin, W) - 0.375) < 1e-12
-
-
-def test_total_loss_examples():
-    rng = np.random.default_rng(33)
-    cloud = PointCloud.bare(rng.uniform(-5, 5, (16, 3)))
-    clouds = {name: cloud for name in ("cam_lidar", "lidar_radar", "radar_cam")}
-    gts = PredictionSet(cam_lidar=IDENTITY, lidar_radar=IDENTITY, radar_cam=IDENTITY)
-    assert total_loss(gts, gts, clouds, cloud, W) == 0.0
-
-    preds = PredictionSet(
-        cam_lidar=random_transform(rng, 0.3),
-        lidar_radar=random_transform(rng, 0.3),
-        radar_cam=random_transform(rng, 0.3),
-    )
-    w0 = LossWeights(loop_weight=0.0)
-    assert total_loss(preds, gts, clouds, cloud, w0) == pairwise_loss(preds, gts, clouds, w0)
-
-    # consistent-but-wrong triplet: conjugating by any error keeps the loop
-    # closed, so the pure loop objective cannot see the error
-    err = random_transform(rng, 0.2)
-    wrong = PredictionSet(
-        cam_lidar=compose(err, gts.cam_lidar),
-        lidar_radar=gts.lidar_radar,
-        radar_cam=compose(gts.radar_cam, invert(err)),
-    )
-    w1 = LossWeights(loop_weight=1.0)
-    assert total_loss(wrong, gts, clouds, cloud, w1) < 1e-9
-    assert pairwise_loss(wrong, gts, clouds, W) > 0.01
 
 
 def test_loop_loss_invariant_to_quaternion_sign():
