@@ -23,6 +23,7 @@ from .errors import (
     ParseError,
     SizeMismatchError,
 )
+from .loss import PAIR_NAMES
 from .projection import (
     ProjectionConfig,
     _merge_nearest,
@@ -440,19 +441,21 @@ def load_calib(path) -> dict[str, RigidTransform]:
         if not line or line.startswith("#"):
             continue
         if ":" not in line:
-            raise ParseError(f"missing ':' in line {line!r}")
+            raise ParseError(f"{path}: missing ':' in line {line!r}")
         key, _, rest = line.partition(":")
         key = key.strip()
         try:
             values = [float(v) for v in rest.split()]
         except ValueError as exc:
-            raise ParseError(f"non-numeric value in row {key!r}") from exc
+            raise ParseError(f"{path}: non-numeric value in row {key!r}") from exc
         if len(values) != 12:
-            raise ParseError(f"row {key!r} has {len(values)} values, expected 12")
+            raise ParseError(f"{path}: row {key!r} has {len(values)} values, expected 12")
+        if not all(map(math.isfinite, values)):
+            raise ParseError(f"{path}: row {key!r} has a value that is not finite")
         m = np.array(values).reshape(3, 4)
         r = m[:, :3]
         if np.max(np.abs(r.T @ r - np.eye(3))) > 1e-3 or np.linalg.det(r) < 0.0:
-            raise NonRigidError(f"row {key!r} rotation block is not orthonormal")
+            raise NonRigidError(f"{path}: row {key!r} rotation block is not orthonormal")
         out[key] = RigidTransform.from_matrix(m)
     return out
 
@@ -474,6 +477,8 @@ def load_cloud(path, schema: tuple[str, ...]) -> PointCloud:
             f"{path}: {raw.size} values is not a multiple of record size {width}"
         )
     rec = raw.reshape(-1, width)
+    if not np.isfinite(rec[:, :3]).all():
+        raise ParseError(f"{path}: a point coordinate is not finite")
     return PointCloud(xyz=rec[:, :3], channels=rec[:, 3:], schema=schema)
 
 
@@ -562,6 +567,9 @@ def load_frame(
     """Inverse of save_frame given the camera config from the manifest."""
     frame_dir = Path(frame_dir)
     calib = load_calib(frame_dir / "calib.txt")
+    for name in PAIR_NAMES:
+        if name not in calib:
+            raise ParseError(f"{frame_dir / 'calib.txt'}: no {name!r} row")
     depth_path = frame_dir / "camera_depth.pgm"
     depth = read_pgm(depth_path) * depth_scale
     if depth.shape != (camera.height, camera.width):

@@ -13,7 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from itertools import islice
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -22,7 +23,7 @@ from .errors import NoOverlapError
 # loop_transform is not called here any more; bench/tracing.py wraps the
 # module attribute sensorcal.estimate.loop_transform, so the name stays.
 from .loss import PAIR_NAMES, LossWeights, PredictionSet, loop_transform, param_loss
-from .neldermead import lockstep, minimize, search
+from .neldermead import Costs, lockstep, minimize, search
 from .perturb import MiscalBounds
 from .projection import (
     ProjectionConfig,
@@ -175,18 +176,6 @@ def _nm_options(x0: np.ndarray, box: np.ndarray, maxfev: int, step_fraction: flo
     }
 
 
-def _nelder_mead(
-    cost_fn: Callable[[np.ndarray], float],
-    x0: np.ndarray,
-    box: np.ndarray,
-    maxfev: int,
-    step_fraction: float = 0.35,
-) -> tuple[np.ndarray, float]:
-    # one call per run, options passed by keyword: bench/tracing.py wraps
-    # this module's `minimize` and reads len(x0) and options["maxfev"]
-    return minimize(cost_fn, x0, options=_nm_options(x0, box, maxfev, step_fraction))
-
-
 # Boxes whose rotation half-width exceeds this (radians) draw their seven
 # non-identity starts from a rotation-only grid, ranked by cost, instead of
 # uniformly; the grid spaces its points about _SCREEN_TARGET_STEP apart, with
@@ -196,9 +185,6 @@ _SCREEN_TARGET_STEP = 0.06
 _SCREEN_MAX_PER_AXIS = 13
 # starts per multistart search: the identity plus seven screened or sampled
 _N_STARTS = 8
-
-
-Costs = Callable[[Sequence[np.ndarray]], Sequence[float]]
 
 
 def _rotation_screen(costs: Costs, box: np.ndarray, keep: int) -> tuple[list[np.ndarray], int]:
@@ -216,12 +202,11 @@ def _multistart(
 ) -> tuple[np.ndarray, float]:
     """Identity start plus box samples, refined by Nelder-Mead; best wins.
 
-    costs scores a list of candidates.  For wide rotation boxes the samples
-    come from a coarse rotation-grid screen instead of uniform draws.  Screen
-    evaluations count against the budget.  The starts run in lock-step, so
-    each round's candidates are scored together, and ties between starts
-    keep the earliest start, so the reduction is deterministic for a fixed
-    seed.
+    For wide rotation boxes the samples come from a coarse rotation-grid
+    screen instead of uniform draws.  Screen evaluations count against the
+    budget.  The starts run in lock-step, so each round's candidates are
+    scored together, and ties between starts keep the earliest start, so the
+    reduction is deterministic for a fixed seed.
     """
     starts = [np.zeros(box.size)]
     spent = 0
@@ -278,12 +263,12 @@ def estimate_pairwise(
     coarse_budget = max(stage.budget * 3 // 5, 1)
     x_coarse, _ = _multistart(coarse.costs, box, coarse_budget, rng)
     fine_budget = max(stage.budget - coarse_budget, 1)
-    x_fine, f_fine = _nelder_mead(fine.cost, x_coarse, box, fine_budget, step_fraction=0.08)
-    candidates = [
-        (f_fine, 0, x_fine),
-        (fine.cost(x_coarse), 1, x_coarse),
-        (fine.cost(np.zeros(6)), 2, np.zeros(6)),
-    ]
+    # one call per solve, options passed by keyword: bench/tracing.py wraps
+    # this module's `minimize` and reads len(x0) and options["maxfev"]
+    options = _nm_options(x_coarse, box, fine_budget, 0.08)
+    x_fine, f_fine = minimize(fine.costs, x_coarse, options=options)
+    f_coarse, f_identity = fine.costs([x_coarse, np.zeros(6)])
+    candidates = [(f_fine, 0, x_fine), (f_coarse, 1, x_coarse), (f_identity, 2, np.zeros(6))]
     f_best, _, x_best = min(candidates, key=lambda c: (c[0], c[1]))
     if not math.isfinite(f_best):
         raise NoOverlapError("no candidate produced enough raster overlap")
@@ -331,8 +316,8 @@ def _camera_target(
 
 
 def _frustum_crop(cloud: PointCloud, axis: np.ndarray, half_angle: float) -> PointCloud:
-    """Keep points within half_angle of the axis direction (plus all of a
-    too-small remainder guard: never return an empty cloud)."""
+    """Keep the points within half_angle of the unit axis direction, or, when
+    fewer than 32 fall inside that cone, return the input cloud unchanged."""
     norms = np.linalg.norm(cloud.xyz, axis=1)
     norms = np.where(norms > 0, norms, 1.0)
     cos_angle = (cloud.xyz @ axis) / norms
@@ -373,43 +358,9 @@ class _EdgeProblem:
     def _nominal_inverse(self) -> RigidTransform:
         return invert(self.nominal)
 
-    def cost(self, x: np.ndarray) -> float:
-        return self.costs([x])[0]
-
     def costs(self, xs: Sequence[np.ndarray]) -> list[float]:
-        """Mean alignment cost over the frames of each candidate.
-
-        Candidates are projected in batches of about _BATCH_POINTS points,
-        and at least one candidate, so a batch's temporaries stay small.
-        """
-        per_batch = max(_BATCH_POINTS // max(self._points, 1), 1)
-        out = []
-        for k in range(0, len(xs), per_batch):
-            residuals = [from_euler_vector(x) for x in xs[k : k + per_batch]]
-            projected = _projected([(self, residual) for residual in residuals])
-            out.extend(map(self.compare, residuals, projected))
-        return out
-
-    def compare(
-        self, residual: RigidTransform, projected: Sequence[tuple[np.ndarray, np.ndarray]]
-    ) -> float:
-        """Mean alignment cost of the sources projected through residual.
-
-        projected holds the projection of each source (see ``_projected``).
-        One ``alignment_cost`` call per frame, up to the first frame without
-        enough overlap, which makes the cost +inf.
-        """
-        total = 0.0
-        for source, target, first_row, pixels in zip(
-            self.sources, self.targets, self.first_rows, projected
-        ):
-            c = alignment_cost(
-                source, residual, target, self.cfg, first_row=first_row, projected=pixels
-            )
-            if not math.isfinite(c):
-                return math.inf
-            total += c
-        return total / len(self.sources)
+        """Mean alignment cost over the frames of each candidate (``_scores``)."""
+        return _scores((self,), ((from_euler_vector(x),) for x in xs))
 
     def edge(self, x: np.ndarray) -> RigidTransform:
         return self.residual_edge(from_euler_vector(x))
@@ -433,23 +384,49 @@ class _EdgeProblem:
 _BATCH_POINTS = 16384
 
 
-def _projected(
-    requests: Sequence[tuple[_EdgeProblem, RigidTransform]],
-) -> list[list[tuple[np.ndarray, np.ndarray]]]:
-    """For each (problem, residual), the projection of each of the problem's
-    sources through the residual: one ``equirect_range_pixels_batch`` per
-    raster size, each result bit-identical to a projection of its own."""
-    by_raster: dict[ProjectionConfig, list[int]] = {}
-    for i, (problem, _) in enumerate(requests):
-        by_raster.setdefault(problem.cfg.projection, []).append(i)
-    out: list = [None] * len(requests)
-    for proj, members in by_raster.items():
-        segments = [
-            (requests[i][1], source.xyz) for i in members for source in requests[i][0].sources
-        ]
-        results = iter(equirect_range_pixels_batch(segments, proj))
-        for i in members:
-            out[i] = [next(results) for _ in requests[i][0].sources]
+def _scores(
+    problems: Sequence[_EdgeProblem], candidates: Iterable[Sequence[RigidTransform]]
+) -> list[float]:
+    """Cost of each candidate, one residual per problem: the sum of each
+    problem's mean ``alignment_cost`` over its frames.
+
+    The calls run in (candidate, problem, frame) order up to the first +inf,
+    which is then the candidate's cost.  Candidates are drawn and projected
+    in batches of about _BATCH_POINTS points (at least one candidate), with
+    one ``equirect_range_pixels_batch`` per raster size per batch.
+    """
+    per_batch = max(_BATCH_POINTS // max(sum(p._points for p in problems), 1), 1)
+    # per raster size, the (problem index, points) of each source it projects
+    rasters: dict[ProjectionConfig, list[tuple[int, np.ndarray]]] = {}
+    for i, problem in enumerate(problems):
+        for source in problem.sources:
+            rasters.setdefault(problem.cfg.projection, []).append((i, source.xyz))
+
+    def score(residuals: Sequence[RigidTransform], pixels: Iterator) -> float:
+        total = 0.0
+        for problem, residual in zip(problems, residuals):
+            cost = 0.0
+            for source, target, row in zip(problem.sources, problem.targets, problem.first_rows):
+                c = alignment_cost(
+                    source, residual, target, problem.cfg, first_row=row, projected=next(pixels)
+                )
+                if not math.isfinite(c):
+                    return math.inf
+                cost += c
+            total += cost / len(problem.sources)
+        return total
+
+    out = []
+    candidates = iter(candidates)
+    while batch := list(islice(candidates, per_batch)):
+        projected = {}
+        for proj, sources in rasters.items():
+            segments = [(residuals[i], xyz) for residuals in batch for i, xyz in sources]
+            projected[proj] = iter(equirect_range_pixels_batch(segments, proj))
+        # the results each source's projection comes from, in the order score compares them
+        order = [projected[p.cfg.projection] for p in problems for _ in p.sources]
+        for residuals in batch:
+            out.append(score(residuals, iter([next(results) for results in order])))
     return out
 
 
@@ -608,21 +585,20 @@ def estimate_multiframe(
 
     identity = RigidTransform.identity()
 
-    def joint_cost(x: np.ndarray) -> float:
-        # one candidate per edge serves both its alignment cost and the loop;
-        # the three edges and every frame are projected in one batch per raster
-        residuals = [from_euler_vector(x[6 * i : 6 * i + 6]) for i in range(len(problems))]
-        projected = _projected(list(zip(problems, residuals)))
-        total = 0.0
-        for problem, residual, pixels in zip(problems, residuals, projected):
-            c = problem.compare(residual, pixels)
-            if not math.isfinite(c):
-                return math.inf
-            total += c
-        cam_lidar, lidar_radar, radar_cam = map(_EdgeProblem.residual_edge, problems, residuals)
-        # loop_transform of the three edges, without a PredictionSet
-        loop = compose(compose(cam_lidar, lidar_radar), radar_cam)
-        return (1.0 - w.loop_weight) * total + w.loop_weight * param_loss(loop, identity, w)
+    def joint_costs(xs: Sequence[np.ndarray]) -> list[float]:
+        # one candidate per edge serves both its alignment cost and the loop
+        candidates = [[from_euler_vector(x[6 * i : 6 * i + 6]) for i in range(3)] for x in xs]
+        out = _scores(problems, candidates)
+        for k, residuals in enumerate(candidates):
+            if math.isfinite(out[k]):
+                cam_lidar, lidar_radar, radar_cam = map(
+                    _EdgeProblem.residual_edge, problems, residuals
+                )
+                # loop_transform of the three edges, without a PredictionSet
+                loop = compose(compose(cam_lidar, lidar_radar), radar_cam)
+                loop_cost = param_loss(loop, identity, w)
+                out[k] = (1.0 - w.loop_weight) * out[k] + w.loop_weight * loop_cost
+        return out
 
     # Loop-consistent variants of the pairwise init: replace one radar edge
     # by the composition of the other two.  This is where the dense lidar
@@ -634,13 +610,14 @@ def estimate_multiframe(
     rc_seed, lr_seed = x0.copy(), x0.copy()
     rc_seed[12:] = problems[2].coords(invert(compose(preds.cam_lidar, preds.lidar_radar)))
     lr_seed[6:12] = problems[1].coords(consistent.lidar_radar)
-    candidates = [x0, rc_seed, lr_seed]
-    scores = [joint_cost(c) for c in candidates]
+    seeds = [x0, rc_seed, lr_seed]
+    scores = joint_costs(seeds)
     f0 = scores[0]
-    start = candidates[int(np.argmin(scores))]
+    start = seeds[int(np.argmin(scores))]
 
     box = np.concatenate([p.box for p in problems])
-    x_polished, f_polished = _nelder_mead(joint_cost, start, box, stage.budget, step_fraction=0.1)
+    options = _nm_options(start, box, stage.budget, 0.1)
+    x_polished, f_polished = minimize(joint_costs, start, options=options)
     # Hysteresis: plateau noise in the alignment terms makes sub-0.1%
     # "improvements" meaningless, so only genuine descent replaces the init.
     if not f_polished < f0 * (1.0 - 1e-3):

@@ -16,11 +16,11 @@ kept on purpose:
   after the initial evaluations and once per iteration.
 
 ``search`` is a generator: it yields each candidate and is sent its cost, so
-the caller decides how candidates are scored.  ``minimize`` scores them one
-at a time; ``lockstep`` advances several searches together and scores each
+the caller decides how candidates are scored.  An objective scores a list of
+candidates.  ``lockstep`` advances several searches together and scores each
 round's candidates with one call, which lets a vectorized objective project
-them as one batch.  Both drive the same generator, so a search sees the
-same candidates and ends with the same bits either way.
+them as one batch; ``minimize`` is ``lockstep`` of one search.  A search
+sees the same candidates and ends with the same bits either way.
 """
 
 from __future__ import annotations
@@ -32,6 +32,8 @@ import numpy as np
 __all__ = ["lockstep", "minimize", "search"]
 
 Search = Generator[np.ndarray, float, "tuple[np.ndarray, float]"]
+# an objective: the costs of a list of candidates, in their order
+Costs = Callable[[list[np.ndarray]], Sequence[float]]
 
 # reflection, expansion, contraction and shrink coefficients
 _RHO = 1
@@ -137,16 +139,12 @@ def search(x0: np.ndarray, *, options: dict) -> Search:
     return sim[0], float(np.min(fsim))
 
 
-def minimize(
-    fun: Callable[[np.ndarray], float], x0: np.ndarray, *, options: dict
-) -> tuple[np.ndarray, float]:
-    """Run ``search(x0, options=options)``, scoring each candidate with ``fun``."""
-    return lockstep([search(x0, options=options)], lambda xs: [fun(xs[0])])[0]
+def minimize(costs: Costs, x0: np.ndarray, *, options: dict) -> tuple[np.ndarray, float]:
+    """Run ``search(x0, options=options)`` alone, scoring with ``costs``."""
+    return lockstep([search(x0, options=options)], costs)[0]
 
 
-def lockstep(
-    searches: Sequence[Search], costs: Callable[[list[np.ndarray]], Sequence[float]]
-) -> list[tuple[np.ndarray, float]]:
+def lockstep(searches: Sequence[Search], costs: Costs) -> list[tuple[np.ndarray, float]]:
     """Advance every search by one candidate per round; return their ``(x, f)``.
 
     Each round hands the pending candidates of the searches still running,

@@ -251,6 +251,14 @@ def test_render_predicted_requires_pred(frames_dir, tmp_path):
           for jobs in ("1", "2")),
         (["calibrate", "--frames", "{cut_lidar}", "--scenario", "small"], 2,
          "values is not a multiple of record size 4"),
+        (["calibrate", "--frames", "{nan_lidar}", "--scenario", "small", "--budget", "50"], 2,
+         "lidar.bin: a point coordinate is not finite"),
+        (["calibrate", "--frames", "{no_row}", "--scenario", "small", "--budget", "50"], 2,
+         "calib.txt: no 'lidar_radar' row"),
+        (["calibrate", "--frames", "{nan_calib}", "--scenario", "small", "--budget", "50"], 2,
+         "calib.txt: row 'radar_cam' has a value that is not finite"),
+        (["perturb", "--frames", "{nan_mis}"], 2,
+         "mis.txt: row 'radar_mis' has a value that is not finite"),
         (["calibrate", "--frames", "{cut_depth}", "--scenario", "small"], 2,
          "camera_depth.pgm: raster has 0 bytes"),
         *(([command, "--frames", "{wrong_size}"], 2,
@@ -260,6 +268,8 @@ def test_render_predicted_requires_pred(frames_dir, tmp_path):
         # gt comes first, so a late rejection would already have written its overlay
         (["render", "--frames", "{frames}", "--source", "gt", "predicted"], 1,
          "error: --pred required for source 'predicted'"),
+        (["render", "--frames", "{frames}", "--source", "gt", "predicted", "--pred", "{nan_pred}"],
+         2, "nan_pred.txt: row 'cam_lidar' has a value that is not finite"),
     ],
     ids=[
         "calibrate",
@@ -270,12 +280,17 @@ def test_render_predicted_requires_pred(frames_dir, tmp_path):
         "calibrate-no-radar-overlap",
         "calibrate-no-radar-overlap-jobs-2",
         "calibrate-corrupt-lidar",
+        "calibrate-nan-lidar-point",
+        "calibrate-calib-missing-row",
+        "calibrate-calib-nan",
+        "perturb-mis-nan",
         "calibrate-depth-cut-after-header",
         "calibrate-depth-image-size",
         "perturb-depth-image-size",
         "render-depth-image-size",
         "evaluate",
         "render",
+        "render-pred-nan",
     ],
 )
 def test_rejected_command_writes_nothing(frames_dir, tmp_path, capsys, args, code, message):
@@ -286,23 +301,44 @@ def test_rejected_command_writes_nothing(frames_dir, tmp_path, capsys, args, cod
         (tmp_path / name).mkdir()
         (tmp_path / name / "manifest.json").write_text(text)
     dirs = {name: tmp_path / name for name in manifests}
-    # copies of the frames with the last frame's lidar.bin one byte short,
-    # its camera_depth.pgm cut after the header, a 200x100 depth image under
-    # the manifest's 640x320 camera, or three radar points 50 m ahead; or
-    # with fx 0 in the manifest
+    # copies of the frames with the last frame's lidar.bin one byte short or
+    # with a NaN coordinate, its calib.txt without the lidar_radar row or
+    # with a nan in the radar_cam row, a mis.txt with a nan, its
+    # camera_depth.pgm cut after the header, a 200x100 depth image under the
+    # manifest's 640x320 camera, or three radar points 50 m ahead; or with
+    # fx 0 in the manifest
     last = {}
-    for name in ("cut_lidar", "cut_depth", "wrong_size", "far_radar", "zero_fx"):
+    copies = ("cut_lidar", "nan_lidar", "no_row", "nan_calib", "nan_mis", "cut_depth",
+              "wrong_size", "far_radar", "zero_fx")
+    for name in copies:
         dirs[name] = shutil.copytree(frames_dir, tmp_path / name)
         last[name] = dirs[name] / "frame_001"
     lidar = last["cut_lidar"] / "lidar.bin"
     lidar.write_bytes(lidar.read_bytes()[:-1])
+    points = np.fromfile(last["nan_lidar"] / "lidar.bin", dtype="<f4")
+    points[4 * 7 + 1] = np.nan  # y of point 7: records are x, y, z and one channel
+    points.tofile(last["nan_lidar"] / "lidar.bin")
+    rows = (last["no_row"] / "calib.txt").read_text().splitlines(keepends=True)
+    (last["no_row"] / "calib.txt").write_text("".join(r for r in rows if "lidar_radar" not in r))
+    rows = (last["nan_calib"] / "calib.txt").read_text().splitlines()
+    rows[-1] = rows[-1].rsplit(" ", 1)[0] + " nan"
+    (last["nan_calib"] / "calib.txt").write_text("\n".join(rows) + "\n")
+    identity = " 1 0 0 0 0 1 0 0 0 0 1 0"
+    (last["nan_mis"] / "mis.txt").write_text(
+        f"lidar_mis:{identity}\nradar_mis: 1 0 0 0 0 1 0 0 0 0 1 nan\n"
+    )
+    nan_pred = tmp_path / "nan_pred.txt"
+    nan_pred.write_text(f"cam_lidar: 1 0 0 nan 0 1 0 0 0 0 1 0\nlidar_radar:{identity}\n")
     (last["cut_depth"] / "camera_depth.pgm").write_bytes(b"P5\n640 320\n65535\n")
     write_pgm(np.zeros((100, 200)), last["wrong_size"] / "camera_depth.pgm", 80.0)
     np.tile([50.0, 0, 0, 0, 0, 0], (3, 1)).astype("<f4").tofile(last["far_radar"] / "radar.bin")
     manifest = json.loads((dirs["zero_fx"] / "manifest.json").read_text())
     manifest["camera"]["fx"] = 0
     (dirs["zero_fx"] / "manifest.json").write_text(json.dumps(manifest))
-    args = [a.format(frames=frames_dir, bad=bad, missing=tmp_path / "missing", **dirs) for a in args]
+    args = [
+        a.format(frames=frames_dir, bad=bad, missing=tmp_path / "missing", nan_pred=nan_pred, **dirs)
+        for a in args
+    ]
     out = tmp_path / "out"
     capsys.readouterr()
     assert main([*args, "--out", str(out)]) == code

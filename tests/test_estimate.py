@@ -15,6 +15,7 @@ from sensorcal.estimate import (
     EstimatorStage,
     _band,
     _build_problems,
+    _frustum_crop,
     alignment_cost,
     estimate_multiframe,
     estimate_pairwise,
@@ -311,6 +312,28 @@ def test_edge_problems_compare_by_identity(frame):
     assert problem != twin
 
 
+def test_frustum_crop_keeps_the_cone_or_the_whole_cloud():
+    rng = np.random.default_rng(12)
+    xyz = np.vstack([np.zeros((1, 3)), rng.normal(0.0, 5.0, (400, 3))])
+    cloud = PointCloud.bare(xyz)
+    axis = np.array([0.6, 0.0, 0.8])
+    for half_angle in (0.8, 1.5, 2.5, 4.0):
+        # the origin counts as a point at right angles to the axis
+        norms = np.linalg.norm(xyz, axis=1)
+        cos_angle = (xyz @ axis) / np.where(norms > 0, norms, 1.0)
+        inside = cos_angle >= math.cos(min(half_angle, math.pi))
+        assert np.count_nonzero(inside) >= 32
+        kept = _frustum_crop(cloud, axis, half_angle)
+        assert kept.xyz.tobytes() == xyz[inside].tobytes()
+    # with 31 points inside the cone the input itself comes back; 32 are kept
+    ahead = np.column_stack([np.zeros(32), np.zeros(32), np.linspace(1.0, 9.0, 32)])
+    behind = -ahead - 1.0
+    few = PointCloud.bare(np.vstack([ahead[:31], behind]))
+    assert _frustum_crop(few, axis, 0.7) is few
+    enough = PointCloud.bare(np.vstack([ahead, behind]))
+    assert _frustum_crop(enough, axis, 0.7).xyz.tobytes() == ahead.tobytes()
+
+
 # --- row-band targets ------------------------------------------------------------
 
 _BAND_PROJ = ProjectionConfig.equirect(48, 24)
@@ -463,7 +486,7 @@ def test_batched_costs_equal_one_candidate_at_a_time(frame, perturbed, monkeypat
         assert np.array(costs).tobytes() == np.array(expected).tobytes()
         assert len(calls) == len(expected_calls)
         assert math.isinf(costs[4]) and costs[0] < math.inf
-        assert problem.cost(xs[1]) == costs[1]
+        assert problem.costs([xs[1]]) == [costs[1]]
 
 
 def test_camera_targets_are_built_once_per_refinement(perturbed, monkeypatch):
@@ -503,6 +526,31 @@ def test_camera_targets_are_built_once_per_refinement(perturbed, monkeypatch):
     narrow = replace(copy.camera_config, fx=copy.camera_config.fx * 2.0)
     estimator([replace(copy, camera_config=narrow)], stages[0])
     assert len(built) == 6
+
+
+def test_minimize_calls_keep_the_contract_the_bench_tracer_reads(frame, perturbed, monkeypatch):
+    """bench/tracing.py wraps sensorcal.estimate.minimize, tells the joint
+    polish from a 6-D edge solve by len(x0) and reads options["maxfev"]
+    from the keyword arguments; a call that breaks this zeroes its metrics."""
+    import sensorcal.estimate as estimate
+
+    calls = []
+    wrapped = estimate.minimize
+
+    def recording(costs, x0, *args, **kwargs):
+        calls.append((len(x0), args, sorted(kwargs), kwargs["options"]["maxfev"]))
+        return wrapped(costs, x0, *args, **kwargs)
+
+    monkeypatch.setattr(estimate, "minimize", recording)
+    stage = EstimatorStage(bounds=SMALL, budget=90)
+    estimate_multiframe([perturbed], stage, LossWeights(), AlignmentCostConfig(), seed=2)
+    assert calls == [(18, (), ["options"], stage.budget)]
+
+    calls.clear()
+    source = frame.lidar.without_channels()
+    target = project_equirect(source, SPARSE_CFG.projection)
+    estimate_pairwise(source, target, stage, SPARSE_CFG, seed=0)
+    assert [call[:3] for call in calls] == [(6, (), ["options"])]
 
 
 # --- evaluation count -------------------------------------------------------------

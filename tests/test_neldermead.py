@@ -40,11 +40,15 @@ def _recorded(fun, calls):
     return wrapped
 
 
+def _one_at_a_time(fun):
+    return lambda xs: [fun(x) for x in xs]
+
+
 def same_run(scipy_minimize, fun, simplex, maxfev, *, fatol=1e-12, xatol=1e-7):
     """Run both solvers; assert equal bits and candidates; return the candidates."""
     options = {"maxfev": maxfev, "fatol": fatol, "xatol": xatol, "initial_simplex": simplex}
     ours, ref = [], []
-    x, f = minimize(_recorded(fun, ours), simplex[0].copy(), options=dict(options))
+    x, f = minimize(_one_at_a_time(_recorded(fun, ours)), simplex[0].copy(), options=dict(options))
     res = scipy_minimize(
         _recorded(fun, ref), simplex[0].copy(), method="Nelder-Mead", options=dict(options)
     )
@@ -222,7 +226,9 @@ def same_in_lockstep(fun, runs, *, fatol=1e-12, xatol=1e-7):
     alone = []
     for opts in options:
         calls = []
-        x, f = minimize(_recorded(fun, calls), opts["initial_simplex"][0].copy(), options=dict(opts))
+        x, f = minimize(
+            _one_at_a_time(_recorded(fun, calls)), opts["initial_simplex"][0].copy(), options=dict(opts)
+        )
         alone.append((calls, x, f))
     together = [[] for _ in runs]
     rounds = []
