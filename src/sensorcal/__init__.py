@@ -83,7 +83,6 @@ from .projection import (
     unproject_pinhole,
 )
 from .transform import (
-    EulerPose,
     RigidTransform,
     apply,
     compose,

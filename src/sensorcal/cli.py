@@ -487,6 +487,9 @@ def cmd_render(args: argparse.Namespace) -> int:
     pred_edges = None
     if args.pred:
         calib = load_calib(args.pred)
+        for name in ("cam_lidar", "radar_cam"):
+            if "predicted" in args.source and name not in calib:
+                raise ParseError(f"{args.pred}: no {name!r} row")
         pred_edges = PredictionSet(**{name: calib.get(name) for name in PAIR_NAMES})
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -20,8 +20,6 @@ import numpy as np
 
 from .data import FrameSet, PointCloud
 from .errors import NoOverlapError
-# loop_transform is not called here any more; bench/tracing.py wraps the
-# module attribute sensorcal.estimate.loop_transform, so the name stays.
 from .loss import PAIR_NAMES, LossWeights, PredictionSet, loop_transform, param_loss
 from .neldermead import Costs, lockstep, minimize, search
 from .perturb import MiscalBounds
@@ -36,14 +34,11 @@ from .projection import (
     unproject_equirect,
     unproject_pinhole,
 )
-# from_euler is not called here any more, but bench/tracing.py wraps the
-# module attribute sensorcal.estimate.from_euler, so the name stays.
 from .transform import (
     RigidTransform,
     apply,
     compose,
     from_euler,
-    from_euler_vector,
     invert,
     to_euler,
     transform_points,
@@ -272,7 +267,7 @@ def estimate_pairwise(
     f_best, _, x_best = min(candidates, key=lambda c: (c[0], c[1]))
     if not math.isfinite(f_best):
         raise NoOverlapError("no candidate produced enough raster overlap")
-    return from_euler_vector(x_best)
+    return from_euler(x_best)
 
 
 # --- frame-level estimation ---------------------------------------------------
@@ -360,10 +355,10 @@ class _EdgeProblem:
 
     def costs(self, xs: Sequence[np.ndarray]) -> list[float]:
         """Mean alignment cost over the frames of each candidate (``_scores``)."""
-        return _scores((self,), ((from_euler_vector(x),) for x in xs))
+        return _scores((self,), ((from_euler(x),) for x in xs))
 
     def edge(self, x: np.ndarray) -> RigidTransform:
-        return self.residual_edge(from_euler_vector(x))
+        return self.residual_edge(from_euler(x))
 
     def residual_edge(self, residual: RigidTransform) -> RigidTransform:
         if self.name == "radar_cam":
@@ -374,8 +369,8 @@ class _EdgeProblem:
     def coords(self, edge: RigidTransform) -> np.ndarray:
         """Inverse of edge(): the residual coordinates producing this edge."""
         if self.name == "radar_cam":
-            return to_euler(compose(self._nominal_inverse, invert(edge))).as_array()
-        return to_euler(compose(self._nominal_inverse, edge)).as_array()
+            return to_euler(compose(self._nominal_inverse, invert(edge)))
+        return to_euler(compose(self._nominal_inverse, edge))
 
 
 # Points projected together in one batch of candidates: the batch's
@@ -587,16 +582,13 @@ def estimate_multiframe(
 
     def joint_costs(xs: Sequence[np.ndarray]) -> list[float]:
         # one candidate per edge serves both its alignment cost and the loop
-        candidates = [[from_euler_vector(x[6 * i : 6 * i + 6]) for i in range(3)] for x in xs]
+        candidates = [[from_euler(x[6 * i : 6 * i + 6]) for i in range(3)] for x in xs]
         out = _scores(problems, candidates)
         for k, residuals in enumerate(candidates):
             if math.isfinite(out[k]):
-                cam_lidar, lidar_radar, radar_cam = map(
-                    _EdgeProblem.residual_edge, problems, residuals
-                )
-                # loop_transform of the three edges, without a PredictionSet
-                loop = compose(compose(cam_lidar, lidar_radar), radar_cam)
-                loop_cost = param_loss(loop, identity, w)
+                # problems are in PAIR_NAMES order, as PredictionSet's fields
+                edges = PredictionSet(*map(_EdgeProblem.residual_edge, problems, residuals))
+                loop_cost = param_loss(loop_transform(edges), identity, w)
                 out[k] = (1.0 - w.loop_weight) * out[k] + w.loop_weight * loop_cost
         return out
 

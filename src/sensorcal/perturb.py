@@ -8,7 +8,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import FrameSet
-from .transform import EulerPose, RigidTransform, apply, compose, from_euler
+from .transform import RigidTransform, apply, compose, from_euler
 
 __all__ = [
     "MiscalBounds",
@@ -72,9 +72,7 @@ def sample_miscalibration(bounds: MiscalBounds, rng: np.random.Generator) -> Rig
     """
     rot = rng.uniform(-bounds.max_rotation, bounds.max_rotation, size=3)
     trans = rng.uniform(-bounds.max_translation, bounds.max_translation, size=3)
-    return from_euler(
-        EulerPose(roll=rot[0], pitch=rot[1], yaw=rot[2], tx=trans[0], ty=trans[1], tz=trans[2])
-    )
+    return from_euler(np.concatenate([rot, trans]))
 
 
 def apply_miscalibration(

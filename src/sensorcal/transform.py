@@ -22,46 +22,16 @@ if TYPE_CHECKING:
     from .data import PointCloud
 
 __all__ = [
-    "EulerPose",
     "RigidTransform",
     "apply",
     "compose",
     "from_euler",
-    "from_euler_vector",
     "invert",
     "quat_angular_distance",
     "to_euler",
     "transform_points",
     "translation_distance",
 ]
-
-
-@dataclass(frozen=True)
-class EulerPose:
-    """6-DoF pose as Euler angles (radians) plus translation (meters)."""
-
-    roll: float = 0.0
-    pitch: float = 0.0
-    yaw: float = 0.0
-    tx: float = 0.0
-    ty: float = 0.0
-    tz: float = 0.0
-
-    def __post_init__(self) -> None:
-        values = (self.roll, self.pitch, self.yaw, self.tx, self.ty, self.tz)
-        if not all(math.isfinite(v) for v in values):
-            raise ValueError(f"EulerPose components must be finite, got {values}")
-
-    def as_array(self) -> np.ndarray:
-        """Coordinates ordered (roll, pitch, yaw, tx, ty, tz)."""
-        return np.array(
-            [self.roll, self.pitch, self.yaw, self.tx, self.ty, self.tz], dtype=float
-        )
-
-    @classmethod
-    def from_array(cls, v) -> "EulerPose":
-        v = np.asarray(v, dtype=float).reshape(6)
-        return cls(roll=v[0], pitch=v[1], yaw=v[2], tx=v[3], ty=v[4], tz=v[5])
 
 
 def _unit_quat(q: np.ndarray) -> np.ndarray:
@@ -270,13 +240,9 @@ def _euler_quat(roll: float, pitch: float, yaw: float) -> np.ndarray:
     return np.array(_hamilton(qz, _hamilton(qy, qx)))
 
 
-def from_euler(e: EulerPose) -> RigidTransform:
-    """Rotation Rz(yaw) @ Ry(pitch) @ Rx(roll), translation copied."""
-    return from_euler_vector(e.as_array())
-
-
-def from_euler_vector(x) -> RigidTransform:
-    """``from_euler(EulerPose.from_array(x))`` without the dataclass round trips.
+def from_euler(x) -> RigidTransform:
+    """Rotation Rz(yaw) @ Ry(pitch) @ Rx(roll) and translation (tx, ty, tz),
+    from any 6-sequence (roll, pitch, yaw, tx, ty, tz).
 
     The optimizers call this once per candidate.  It runs the quaternion
     arithmetic, normalisation and sign canonicalisation of the constructor,
@@ -285,14 +251,15 @@ def from_euler_vector(x) -> RigidTransform:
     """
     values = np.asarray(x, dtype=float).reshape(6).tolist()
     if not all(map(math.isfinite, values)):
-        raise ValueError(f"EulerPose components must be finite, got {tuple(values)}")
+        raise ValueError(f"Euler pose components must be finite, got {tuple(values)}")
     t = np.array(values[3:])
     t.setflags(write=False)
     return RigidTransform._from_valid(_unit_quat(_euler_quat(*values[:3])), t)
 
 
-def to_euler(a: RigidTransform) -> EulerPose:
-    """Inverse of from_euler; pitch is clamped at the +-pi/2 gimbal points."""
+def to_euler(a: RigidTransform) -> np.ndarray:
+    """Inverse of from_euler: (roll, pitch, yaw, tx, ty, tz) as a (6,) float64
+    array; pitch is clamped at the +-pi/2 gimbal points."""
     r = a._rotation
     sin_pitch = max(-1.0, min(1.0, -r[2, 0]))
     pitch = math.asin(sin_pitch)
@@ -303,9 +270,7 @@ def to_euler(a: RigidTransform) -> EulerPose:
         # Gimbal lock: only roll +- yaw is observable; put it all in roll.
         roll = math.atan2(-r[1, 2], r[1, 1])
         yaw = 0.0
-    return EulerPose(
-        roll=roll, pitch=pitch, yaw=yaw, tx=a.t[0], ty=a.t[1], tz=a.t[2]
-    )
+    return np.array([roll, pitch, yaw, *a.t.tolist()])
 
 
 def quat_angular_distance(q1, q2) -> float:

@@ -51,7 +51,6 @@ from sensorcal.projection import (
     project_equirect,
 )
 from sensorcal.transform import (
-    EulerPose,
     RigidTransform,
     apply,
     compose,
@@ -77,9 +76,7 @@ def report(criterion: int, ok: bool, detail: str, elapsed: float, limit: float) 
 
 
 def random_rigid(rng, scale=1.0):
-    return from_euler(
-        EulerPose(*rng.uniform(-scale, scale, 3), *rng.uniform(-2 * scale, 2 * scale, 3))
-    )
+    return from_euler([*rng.uniform(-scale, scale, 3), *rng.uniform(-2 * scale, 2 * scale, 3)])
 
 
 def test_criterion_1_loss_fixed_points():

@@ -270,6 +270,13 @@ def test_render_predicted_requires_pred(frames_dir, tmp_path):
          "error: --pred required for source 'predicted'"),
         (["render", "--frames", "{frames}", "--source", "gt", "predicted", "--pred", "{nan_pred}"],
          2, "nan_pred.txt: row 'cam_lidar' has a value that is not finite"),
+        # a predicted overlay draws cam_lidar and radar_cam; without them it would be empty
+        (["render", "--frames", "{frames}", "--source", "gt", "predicted", "--pred", "{lr_pred}"],
+         2, "lr_pred.txt: no 'cam_lidar' row"),
+        (["render", "--frames", "{frames}", "--source", "gt", "predicted", "--pred", "{empty_pred}"],
+         2, "empty_pred.txt: no 'cam_lidar' row"),
+        (["render", "--frames", "{frames}", "--source", "gt", "predicted", "--pred", "{cl_lr_pred}"],
+         2, "cl_lr_pred.txt: no 'radar_cam' row"),
     ],
     ids=[
         "calibrate",
@@ -291,6 +298,9 @@ def test_render_predicted_requires_pred(frames_dir, tmp_path):
         "evaluate",
         "render",
         "render-pred-nan",
+        "render-pred-only-lidar-radar",
+        "render-pred-empty",
+        "render-pred-no-radar-cam",
     ],
 )
 def test_rejected_command_writes_nothing(frames_dir, tmp_path, capsys, args, code, message):
@@ -329,6 +339,9 @@ def test_rejected_command_writes_nothing(frames_dir, tmp_path, capsys, args, cod
     )
     nan_pred = tmp_path / "nan_pred.txt"
     nan_pred.write_text(f"cam_lidar: 1 0 0 nan 0 1 0 0 0 0 1 0\nlidar_radar:{identity}\n")
+    preds = {"lr_pred": ["lidar_radar"], "empty_pred": [], "cl_lr_pred": ["cam_lidar", "lidar_radar"]}
+    for name, pairs in preds.items():
+        (tmp_path / f"{name}.txt").write_text("".join(f"{pair}:{identity}\n" for pair in pairs))
     (last["cut_depth"] / "camera_depth.pgm").write_bytes(b"P5\n640 320\n65535\n")
     write_pgm(np.zeros((100, 200)), last["wrong_size"] / "camera_depth.pgm", 80.0)
     np.tile([50.0, 0, 0, 0, 0, 0], (3, 1)).astype("<f4").tofile(last["far_radar"] / "radar.bin")
@@ -336,7 +349,8 @@ def test_rejected_command_writes_nothing(frames_dir, tmp_path, capsys, args, cod
     manifest["camera"]["fx"] = 0
     (dirs["zero_fx"] / "manifest.json").write_text(json.dumps(manifest))
     args = [
-        a.format(frames=frames_dir, bad=bad, missing=tmp_path / "missing", nan_pred=nan_pred, **dirs)
+        a.format(frames=frames_dir, bad=bad, missing=tmp_path / "missing", nan_pred=nan_pred,
+                 **{name: tmp_path / f"{name}.txt" for name in preds}, **dirs)
         for a in args
     ]
     out = tmp_path / "out"

@@ -27,7 +27,7 @@ from sensorcal.errors import (
     SizeMismatchError,
 )
 from sensorcal.projection import ProjectionConfig, project_equirect
-from sensorcal.transform import EulerPose, RigidTransform, from_euler
+from sensorcal.transform import RigidTransform, from_euler
 
 
 def test_scene_is_deterministic():
@@ -116,8 +116,8 @@ def test_spec_rejects_non_finite_and_negative_sigmas(field, value):
 def test_calib_roundtrip(tmp_path):
     rng = np.random.default_rng(41)
     transforms = {
-        "cam_lidar": from_euler(EulerPose(*rng.uniform(-1, 1, 6))),
-        "lidar_radar": from_euler(EulerPose(*rng.uniform(-1, 1, 6))),
+        "cam_lidar": from_euler(rng.uniform(-1, 1, 6)),
+        "lidar_radar": from_euler(rng.uniform(-1, 1, 6)),
     }
     path = tmp_path / "calib.txt"
     save_calib(transforms, path)

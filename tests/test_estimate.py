@@ -36,11 +36,9 @@ from sensorcal.projection import (
     unproject_pinhole,
 )
 from sensorcal.transform import (
-    EulerPose,
     RigidTransform,
     apply,
     from_euler,
-    from_euler_vector,
     invert,
     quat_angular_distance,
     transform_points,
@@ -119,7 +117,7 @@ def test_cost_matches_naive_raster_formula():
     for _ in range(20):
         base = PointCloud.bare(rng.uniform(-15, 15, (300, 3)))
         target = project_equirect(base, cfg.projection)
-        candidate = from_euler(EulerPose(*rng.uniform(-0.1, 0.1, 6)))
+        candidate = from_euler(rng.uniform(-0.1, 0.1, 6))
         source = PointCloud.bare(rng.uniform(-15, 15, (250, 3)))
         fast = alignment_cost(source, candidate, target, cfg)
         assert fast == naive_alignment_cost(source, candidate, target, cfg)
@@ -160,7 +158,7 @@ def test_cost_equals_np_mean_formula(source, base, pose, penalty, min_overlap):
     )
     target = project_equirect(PointCloud.bare(np.concatenate([base, source])), cfg.projection)
     source = PointCloud.bare(source)
-    candidate = from_euler_vector(np.array(pose))
+    candidate = from_euler(np.array(pose))
     cost = alignment_cost(source, candidate, target, cfg)
     ref = mean_formula_cost(source, candidate, target, cfg)
     assert np.float64(cost).tobytes() == np.float64(ref).tobytes()
@@ -369,7 +367,7 @@ def band_cases(draw):
 def test_band_lookup_equals_full_raster_lookup(case, pose, min_overlap):
     target, r0, r1, source = case
     cfg = AlignmentCostConfig(min_overlap=min_overlap, projection=_BAND_PROJ)
-    for candidate in (RigidTransform.identity(), from_euler_vector(np.array(pose))):
+    for candidate in (RigidTransform.identity(), from_euler(np.array(pose))):
         full = alignment_cost(source, candidate, target, cfg)
         band = alignment_cost(source, candidate, target[r0:r1], cfg, first_row=r0)
         assert np.float64(band).tobytes() == np.float64(full).tobytes()
@@ -442,7 +440,7 @@ def test_lidar_radar_target_is_the_band_of_its_raster(frame):
 def sequential_cost(problem, x, calls):
     """The mean per-frame cost of one candidate, each frame projected by its
     own alignment_cost call, as the solver scored candidates before batches."""
-    residual = from_euler_vector(x)
+    residual = from_euler(x)
     total = 0.0
     for source, target, first_row in zip(problem.sources, problem.targets, problem.first_rows):
         calls.append(1)

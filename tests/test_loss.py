@@ -19,7 +19,6 @@ from sensorcal.loss import (
     smooth_l1,
 )
 from sensorcal.transform import (
-    EulerPose,
     RigidTransform,
     compose,
     from_euler,
@@ -31,13 +30,11 @@ IDENTITY = RigidTransform.identity()
 
 
 def rot_z(angle, tx=0.0):
-    return from_euler(EulerPose(yaw=angle, tx=tx))
+    return from_euler([0.0, 0.0, angle, tx, 0.0, 0.0])
 
 
 def random_transform(rng, scale=1.0):
-    return from_euler(
-        EulerPose(*rng.uniform(-scale, scale, 3), *rng.uniform(-2 * scale, 2 * scale, 3))
-    )
+    return from_euler([*rng.uniform(-scale, scale, 3), *rng.uniform(-2 * scale, 2 * scale, 3)])
 
 
 def test_smooth_l1_examples():
@@ -172,10 +169,10 @@ def test_finite_difference_smoothness():
         )
 
         def f_point(x):
-            return point_loss(from_euler(EulerPose.from_array(x)), gt, cloud)
+            return point_loss(from_euler(x), gt, cloud)
 
         def f_param(x):
-            return param_loss(from_euler(EulerPose.from_array(x)), gt, W)
+            return param_loss(from_euler(x), gt, W)
 
         ok = True
         for fn in (f_point, f_param):
@@ -191,7 +188,7 @@ def test_finite_difference_smoothness():
 def _pose_array(t):
     from sensorcal.transform import to_euler
 
-    return to_euler(t).as_array()
+    return to_euler(t)
 
 
 def test_weights_validation():
@@ -213,8 +210,8 @@ def test_paper_default_weights():
 
 
 def test_prediction_sets_compare_by_transform_values():
-    edge = from_euler(EulerPose(roll=0.1, tx=0.5))
-    same = from_euler(EulerPose(roll=0.1, tx=0.5))
+    edge = from_euler([0.1, 0.0, 0.0, 0.5, 0.0, 0.0])
+    same = from_euler([0.1, 0.0, 0.0, 0.5, 0.0, 0.0])
     assert PredictionSet(cam_lidar=edge) == PredictionSet(cam_lidar=same)
     assert PredictionSet(cam_lidar=edge) != PredictionSet(cam_lidar=IDENTITY)
     assert PredictionSet(cam_lidar=edge) != PredictionSet(radar_cam=edge)
@@ -224,7 +221,7 @@ def test_prediction_sets_compare_by_transform_values():
 _angles = st.floats(-3.2, 3.2)
 _offsets = st.floats(-5.0, 5.0)
 _poses = st.tuples(_angles, _angles, _angles, _offsets, _offsets, _offsets).map(
-    lambda v: from_euler(EulerPose(*v))
+    from_euler
 )
 _edge_sets = st.tuples(*[st.none() | _poses] * 3).map(lambda edges: PredictionSet(*edges))
 

@@ -13,7 +13,7 @@ from sensorcal.metrics import (
     summarize_by_pair,
     summary_csv,
 )
-from sensorcal.transform import EulerPose, RigidTransform, from_euler
+from sensorcal.transform import RigidTransform, from_euler
 
 
 def brute_force_summary(values):
@@ -37,7 +37,7 @@ def test_error_record_examples():
     shifted = RigidTransform.from_translation(0.01, 0, 0)
     r = error_record(shifted, identity)
     assert abs(r.translation_cm - 1.0) < 1e-9 and r.rotation_deg == 0.0
-    rotated = from_euler(EulerPose(yaw=math.pi / 2))
+    rotated = from_euler([0.0, 0.0, math.pi / 2, 0.0, 0.0, 0.0])
     r = error_record(rotated, identity)
     assert abs(r.rotation_deg - 90.0) < 1e-9 and r.translation_cm == 0.0
 

@@ -23,7 +23,7 @@ from sensorcal.data import PointCloud
 from sensorcal.estimate import AlignmentCostConfig, _initial_simplex, alignment_cost
 from sensorcal.neldermead import lockstep, minimize, search
 from sensorcal.projection import ProjectionConfig, project_equirect
-from sensorcal.transform import from_euler_vector
+from sensorcal.transform import from_euler
 
 
 @pytest.fixture(scope="module")
@@ -193,7 +193,7 @@ def test_edge_cost_objective(scipy_minimize):
     target = project_equirect(source, cfg.projection)
 
     def cost(x):
-        return alignment_cost(source, from_euler_vector(x), target, cfg)
+        return alignment_cost(source, from_euler(x), target, cfg)
 
     box = np.array([0.2] * 3 + [1.5] * 3)
     for x0, maxfev in ((np.zeros(6), 150), (np.array([0.15, -0.1, 0.1, 1.0, -1.2, 0.8]), 90)):
@@ -303,7 +303,7 @@ def test_lockstep_on_the_edge_cost_objective():
     target = project_equirect(source, cfg.projection)
 
     def cost(x):
-        return alignment_cost(source, from_euler_vector(x), target, cfg)
+        return alignment_cost(source, from_euler(x), target, cfg)
 
     box = np.array([0.2] * 3 + [1.5] * 3)
     starts = [np.zeros(6), np.array([0.15, -0.1, 0.1, 1.0, -1.2, 0.8]), rng.uniform(-1, 1, 6) * box]

@@ -26,7 +26,6 @@ from sensorcal.pipeline import (
     stages_from_preset,
 )
 from sensorcal.transform import (
-    EulerPose,
     RigidTransform,
     compose,
     from_euler,
@@ -179,7 +178,7 @@ def test_multiframe_beats_single_frame_on_sparse_noisy_radar():
 
 
 def test_aggregate_idempotent_on_identical():
-    t = from_euler(EulerPose(0.1, -0.2, 0.3, 1.0, 2.0, 3.0))
+    t = from_euler([0.1, -0.2, 0.3, 1.0, 2.0, 3.0])
     preds = PredictionSet(cam_lidar=t, lidar_radar=t, radar_cam=t)
     agg = aggregate_sequence([preds] * 5, mode="median")
     assert np.allclose(agg.cam_lidar.q, t.q) and np.allclose(agg.cam_lidar.t, t.t)
@@ -213,7 +212,8 @@ def test_aggregate_handles_quaternion_double_cover():
     # so the statistic is only meaningful after sign alignment
     yaws = [179.0, -179.0, 178.0]
     preds = [
-        PredictionSet(cam_lidar=from_euler(EulerPose(yaw=math.radians(y)))) for y in yaws
+        PredictionSet(cam_lidar=from_euler([0.0, 0.0, math.radians(y), 0.0, 0.0, 0.0]))
+        for y in yaws
     ]
     agg = aggregate_sequence(preds, mode="median")
     angle = math.degrees(quat_angular_distance(agg.cam_lidar.q, [1, 0, 0, 0]))
@@ -221,7 +221,8 @@ def test_aggregate_handles_quaternion_double_cover():
 
 
 _angles = st.floats(-math.pi, math.pi)
-_rotations = st.builds(EulerPose, roll=_angles, pitch=_angles, yaw=_angles)
+# Euler poses (roll, pitch, yaw, 0, 0, 0); the quaternions below have four entries
+_rotations = st.tuples(_angles, _angles, _angles).map(lambda r: (*r, 0.0, 0.0, 0.0))
 _unit_quats = st.tuples(*[st.floats(-1.0, 1.0)] * 4).filter(
     lambda q: math.fsum(c * c for c in q) > 1e-6
 )
@@ -242,7 +243,7 @@ def test_aggregate_is_invariant_to_quaternion_sign(rotations, flips, mode):
     # q and -q are one rotation: negating any per-frame quaternion (bypassing
     # the canonical sign that RigidTransform applies) changes nothing
     frames = [
-        from_euler(r) if isinstance(r, EulerPose) else RigidTransform(q=r, t=[0.5 * k, 0.0, -1.0])
+        from_euler(r) if len(r) == 6 else RigidTransform(q=r, t=[0.5 * k, 0.0, -1.0])
         for k, r in enumerate(rotations)
     ]
     flipped = [

@@ -29,7 +29,7 @@ from sensorcal.projection import (
     project_pinhole,
     unproject_pinhole,
 )
-from sensorcal.transform import RigidTransform, from_euler_vector, transform_points
+from sensorcal.transform import RigidTransform, from_euler, transform_points
 
 
 def brute_force_equirect(cloud, cfg):
@@ -451,7 +451,7 @@ def candidate_segments(draw):
     for _ in range(draw(st.integers(1, 10))):
         kind = draw(st.sampled_from(["empty", "one", "two", "cloud", "zero", "poles", "seam"]))
         pose = np.array(draw(_small_poses))
-        candidate = draw(st.sampled_from([RigidTransform.identity(), from_euler_vector(pose)]))
+        candidate = draw(st.sampled_from([RigidTransform.identity(), from_euler(pose)]))
         if kind == "empty":
             xyz = np.zeros((0, 3))
         elif kind in ("one", "two"):
@@ -467,7 +467,7 @@ def candidate_segments(draw):
                 t[1] = 0.0
             elif kind == "poles":
                 t[:2] = 0.0
-            candidate = from_euler_vector(np.concatenate([np.zeros(3), t]))
+            candidate = from_euler(np.concatenate([np.zeros(3), t]))
             k = draw(st.integers(1, 6))
             if kind == "zero":
                 xyz = np.concatenate([np.tile(-t, (k, 1)), draw(arrays(np.float64, (2, 3), elements=_coords))])
@@ -492,8 +492,8 @@ def test_batch_moves_points_to_range_0_on_the_poles_and_the_seam():
     # point to the origin drops it; poles land in the first and last rows,
     # seam points in column 0
     t = np.array([0.5, 0.0, -1.5])
-    to_zero = from_euler_vector(np.concatenate([np.zeros(3), t]))
-    down = from_euler_vector(np.array([0.0, 0.0, 0.0, 0.0, 0.0, -1.5]))
+    to_zero = from_euler(np.concatenate([np.zeros(3), t]))
+    down = from_euler(np.array([0.0, 0.0, 0.0, 0.0, 0.0, -1.5]))
     xyz = np.array([[0.0, 0.0, 9.0], [0.0, 0.0, -9.0], [-4.0, 0.0, 1.5], [-4.0, -0.0, 1.5]])
     assert transform_points(to_zero, -t[None]).tolist() == [[0.0, 0.0, 0.0]]
     for cfg in _COST_RASTERS:
@@ -514,9 +514,9 @@ def test_batches_at_the_point_cap():
     big = rng.normal(0.0, 15.0, (_BATCH_POINTS, 3))
     radar = rng.normal(0.0, 15.0, (400, 3))
     for cfg in _COST_RASTERS:
-        assert_batch_equals_one_at_a_time([(from_euler_vector(poses[0]), big)], cfg)
-        segments = [(from_euler_vector(p), radar) for p in poses[: _BATCH_POINTS // 400]]
-        segments.insert(3, (from_euler_vector(poses[-1]), radar[:0]))
+        assert_batch_equals_one_at_a_time([(from_euler(poses[0]), big)], cfg)
+        segments = [(from_euler(p), radar) for p in poses[: _BATCH_POINTS // 400]]
+        segments.insert(3, (from_euler(poses[-1]), radar[:0]))
         segments.append((RigidTransform.identity(), radar[:1]))
         assert_batch_equals_one_at_a_time(segments, cfg)
 
@@ -527,7 +527,7 @@ def test_batch_splits_segments_that_overflow_the_key():
     rng = np.random.default_rng(32)
     pole = np.array([[0.0, 0.0, -1.0], [3.0, -4.0, 0.5]])
     wide = ProjectionConfig.equirect(2**16, 2**15)
-    segments = [(from_euler_vector(p), pole) for p in rng.uniform(-0.2, 0.2, (5, 6))]
+    segments = [(from_euler(p), pole) for p in rng.uniform(-0.2, 0.2, (5, 6))]
     assert_batch_equals_one_at_a_time(segments, wide)
     cloud = rng.normal(0.0, 15.0, (3, 3))
     segments = [(RigidTransform.identity(), cloud[: k % 4]) for k in range(2**11 + 3)]

@@ -32,7 +32,7 @@ from sensorcal.dataio import (
 )
 from sensorcal.errors import DegenerateSceneError
 from sensorcal.projection import _BLOCK_ROWS, ProjectionConfig, _row_blocks, project_pinhole
-from sensorcal.transform import RigidTransform, compose, from_euler_vector
+from sensorcal.transform import RigidTransform, compose, from_euler
 
 _EPS = 1e-6
 
@@ -390,7 +390,7 @@ def _camera(height, width=96):
 def _poses():
     """The default camera pose and one rolled and pitched off it."""
     pose = default_sensor_poses()["camera"]
-    return [pose, compose(pose, from_euler_vector([0.2, 0.3, 0.0, 0.0, 0.0, 0.0]))]
+    return [pose, compose(pose, from_euler([0.2, 0.3, 0.0, 0.0, 0.0, 0.0]))]
 
 
 _HEIGHTS = [1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 320]

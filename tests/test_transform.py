@@ -8,12 +8,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from sensorcal.transform import (
-    EulerPose,
     RigidTransform,
     apply,
     compose,
     from_euler,
-    from_euler_vector,
     invert,
     quat_angular_distance,
     to_euler,
@@ -26,12 +24,11 @@ SQ2 = math.sqrt(2.0) / 2.0
 
 
 def rot_z(angle, tx=0.0, ty=0.0, tz=0.0):
-    return from_euler(EulerPose(yaw=angle, tx=tx, ty=ty, tz=tz))
+    return from_euler([0.0, 0.0, angle, tx, ty, tz])
 
 
 def random_transform(rng):
-    e = EulerPose(*rng.uniform(-math.pi + 0.01, math.pi - 0.01, 3), *rng.uniform(-5, 5, 3))
-    return from_euler(e)
+    return from_euler([*rng.uniform(-math.pi + 0.01, math.pi - 0.01, 3), *rng.uniform(-5, 5, 3)])
 
 
 def test_constructor_normalizes_and_canonicalizes():
@@ -107,23 +104,24 @@ def test_apply_identity_rotation_translation():
 
 
 def test_from_euler_examples():
-    assert np.allclose(from_euler(EulerPose()).matrix(), np.eye(4))
-    yaw90 = from_euler(EulerPose(yaw=math.pi / 2))
+    assert np.allclose(from_euler(np.zeros(6)).matrix(), np.eye(4))
+    yaw90 = from_euler([0.0, 0.0, math.pi / 2, 0.0, 0.0, 0.0])
     assert np.allclose(yaw90.q, [SQ2, 0, 0, SQ2])
-    roll180 = from_euler(EulerPose(roll=math.pi))
+    roll180 = from_euler([math.pi, 0.0, 0.0, 0.0, 0.0, 0.0])
     assert np.allclose(roll180.q, [0, 1, 0, 0], atol=1e-12)
 
 
 def test_from_euler_axis_order_is_zyx_matrix():
-    e = EulerPose(roll=0.3, pitch=-0.2, yaw=0.9)
+    roll, pitch, yaw = 0.3, -0.2, 0.9
     def rx(a):
         return np.array([[1, 0, 0], [0, math.cos(a), -math.sin(a)], [0, math.sin(a), math.cos(a)]])
     def ry(a):
         return np.array([[math.cos(a), 0, math.sin(a)], [0, 1, 0], [-math.sin(a), 0, math.cos(a)]])
     def rz(a):
         return np.array([[math.cos(a), -math.sin(a), 0], [math.sin(a), math.cos(a), 0], [0, 0, 1]])
-    expected = rz(e.yaw) @ ry(e.pitch) @ rx(e.roll)
-    assert np.allclose(from_euler(e).rotation_matrix(), expected, atol=1e-12)
+    expected = rz(yaw) @ ry(pitch) @ rx(roll)
+    actual = from_euler([roll, pitch, yaw, 0.0, 0.0, 0.0]).rotation_matrix()
+    assert np.allclose(actual, expected, atol=1e-12)
 
 
 def test_to_euler_roundtrip():
@@ -216,9 +214,8 @@ def assert_bit_identical(a, b):
 
 
 @given(_vectors)
-def test_from_euler_vector_bit_identical_to_from_euler(v):
-    x = np.array(v)
-    assert_bit_identical(from_euler_vector(x), from_euler(EulerPose.from_array(x)))
+def test_from_euler_bit_identical_to_the_constructor_path(v):
+    assert_bit_identical(from_euler(v), reference_from_euler(v))
 
 
 @given(
@@ -226,25 +223,26 @@ def test_from_euler_vector_bit_identical_to_from_euler(v):
     yaw=st.sampled_from([math.pi, -math.pi]),
     roll=_angles,
 )
-def test_from_euler_vector_bit_identical_at_gimbal_lock_and_seam(pitch, yaw, roll):
+def test_from_euler_bit_identical_to_the_constructor_path_at_gimbal_lock_and_seam(
+    pitch, yaw, roll
+):
     for x in ([roll, pitch, yaw, 0.0, 0.0, 0.0], [roll, pitch, 0.0, 1.0, -2.0, 3.0],
               [roll, 0.0, yaw, 0.0, 0.0, 0.0]):
-        x = np.array(x)
-        assert_bit_identical(from_euler_vector(x), from_euler(EulerPose.from_array(x)))
+        assert_bit_identical(from_euler(x), reference_from_euler(x))
 
 
-def test_from_euler_vector_bit_identical_on_special_angle_grid():
+def test_from_euler_bit_identical_to_the_constructor_path_on_special_angle_grid():
     for angles in itertools.product(_SPECIAL_ANGLES, repeat=3):
         x = np.array([*angles, -0.0, 0.0, 1.0])
-        assert_bit_identical(from_euler_vector(x), from_euler(EulerPose.from_array(x)))
+        assert_bit_identical(from_euler(x), reference_from_euler(x))
 
 
 @given(st.integers(0, 5), st.sampled_from([math.nan, math.inf, -math.inf]))
-def test_from_euler_vector_rejects_non_finite(i, bad):
+def test_from_euler_rejects_non_finite(i, bad):
     x = np.zeros(6)
     x[i] = bad
     with pytest.raises(ValueError, match="finite"):
-        from_euler_vector(x)
+        from_euler(x)
 
 
 # copies of the earlier quaternion product, compose, invert and from_euler,
@@ -271,19 +269,20 @@ def reference_invert(a):
     return RigidTransform(q=q_inv, t=-(a.rotation_matrix().T @ a.t))
 
 
-def reference_from_euler(e):
-    half_r, half_p, half_y = 0.5 * e.roll, 0.5 * e.pitch, 0.5 * e.yaw
+def reference_from_euler(x):
+    roll, pitch, yaw, tx, ty, tz = np.asarray(x, dtype=float)
+    half_r, half_p, half_y = 0.5 * roll, 0.5 * pitch, 0.5 * yaw
     qx = np.array([math.cos(half_r), math.sin(half_r), 0.0, 0.0])
     qy = np.array([math.cos(half_p), 0.0, math.sin(half_p), 0.0])
     qz = np.array([math.cos(half_y), 0.0, 0.0, math.sin(half_y)])
     q = reference_quat_mul(qz, reference_quat_mul(qy, qx))
-    return RigidTransform(q=q, t=np.array([e.tx, e.ty, e.tz], dtype=float))
+    return RigidTransform(q=q, t=np.array([tx, ty, tz], dtype=float))
 
 
 @given(_vectors, _vectors)
 def test_compose_invert_and_from_euler_bit_identical_to_the_constructor_path(u, v):
-    a, b = (from_euler(EulerPose.from_array(np.array(w))) for w in (u, v))
-    assert_bit_identical(a, reference_from_euler(EulerPose.from_array(np.array(u))))
+    a, b = from_euler(u), from_euler(v)
+    assert_bit_identical(a, reference_from_euler(u))
     assert_bit_identical(compose(a, b), reference_compose(a, b))
     assert_bit_identical(invert(a), reference_invert(a))
     # the polish composes results of compose and invert again
@@ -301,7 +300,7 @@ def test_rotation_matrix_copy_is_the_callers():
     rng = np.random.default_rng(18)
     pts = rng.uniform(-10, 10, (20, 3))
     x = np.array([0.3, -0.2, 0.9, 1.0, 2.0, 3.0])
-    for a in (from_euler_vector(x), from_euler(EulerPose.from_array(x))):
+    for a in (from_euler(x), reference_from_euler(x)):
         before_r, before_m = a.rotation_matrix(), a.matrix()
         before_pts = transform_points(a, pts)
         r = a.rotation_matrix()
@@ -338,7 +337,7 @@ def assert_transform_points_is_row_product(a, xyz):
 
 @given(v=_vectors, xyz=_points, layout=st.sampled_from(["C", "F", "strided"]))
 def test_transform_points_bit_identical_to_row_product(v, xyz, layout):
-    assert_transform_points_is_row_product(from_euler_vector(np.array(v)), _layout(xyz, layout))
+    assert_transform_points_is_row_product(from_euler(v), _layout(xyz, layout))
 
 
 def test_transform_points_bit_identical_to_row_product_on_large_clouds():
@@ -346,7 +345,7 @@ def test_transform_points_bit_identical_to_row_product_on_large_clouds():
     for n in (400, 5008, 70000):
         xyz = rng.normal(0.0, 30.0, (n, 3))
         for layout in ("C", "F", "strided"):
-            a = from_euler_vector(np.r_[rng.uniform(-3.5, 3.5, 3), rng.uniform(-5, 5, 3)])
+            a = from_euler(np.r_[rng.uniform(-3.5, 3.5, 3), rng.uniform(-5, 5, 3)])
             assert_transform_points_is_row_product(a, _layout(xyz, layout))
 
 
@@ -354,7 +353,7 @@ def test_transform_points_bit_identical_to_row_product_on_large_clouds():
 def test_apply_stores_c_ordered_xyz(v, xyz, layout):
     # an (N, 3) @ (3,) product, as in the estimator's frustum crop, may round
     # differently on an F-ordered array, so clouds must stay C-ordered
-    a = from_euler_vector(np.array(v))
+    a = from_euler(v)
     moved = apply(a, PointCloud.bare(_layout(xyz, layout)))
     assert moved.xyz.flags.c_contiguous
     assert moved.xyz.tobytes() == transform_points(a, xyz).tobytes()
@@ -363,9 +362,9 @@ def test_apply_stores_c_ordered_xyz(v, xyz, layout):
 def test_transforms_compare_by_value_and_stay_unhashable():
     x = np.array([0.3, -0.2, 0.9, 1.0, 2.0, 3.0])
     assert RigidTransform.identity() == RigidTransform.identity()
-    assert from_euler_vector(x) == from_euler(EulerPose.from_array(x))
-    assert from_euler_vector(x) != from_euler_vector(x + [0, 0, 0, 0, 0, 1e-12])
-    assert from_euler_vector(x) != from_euler_vector(x + [1e-12, 0, 0, 0, 0, 0])
+    assert from_euler(x) == reference_from_euler(x)
+    assert from_euler(x) != from_euler(x + [0, 0, 0, 0, 0, 1e-12])
+    assert from_euler(x) != from_euler(x + [1e-12, 0, 0, 0, 0, 0])
     assert RigidTransform.identity() != "identity"
     with pytest.raises(TypeError):
         hash(RigidTransform.identity())
@@ -385,7 +384,7 @@ _pitches = st.builds(
 @given(roll=_angles, pitch=_pitches, yaw=_angles, t=st.tuples(*[_translations] * 3))
 def test_se3_round_trips_near_gimbal_lock(roll, pitch, yaw, t):
     # matrices, not quat_angular_distance: its acos cannot resolve below ~3e-8
-    a = from_euler(EulerPose(roll=roll, pitch=pitch, yaw=yaw, tx=t[0], ty=t[1], tz=t[2]))
+    a = from_euler([roll, pitch, yaw, *t])
     back = from_euler(to_euler(a))
     assert back.t.tobytes() == a.t.tobytes()
     d_rot = np.max(np.abs(back.rotation_matrix() - a.rotation_matrix()))
