@@ -133,37 +133,7 @@ def _load_frames(root: Path) -> tuple[list[FrameSet], dict]:
     return [load_frame(d, camera, scale, index=k) for k, d in enumerate(dirs)], manifest
 
 
-def _gen_scene_arg_error(args: argparse.Namespace) -> str | None:
-    """The first out-of-range number among the gen-scene options, if any."""
-    if args.frames < 1:
-        return f"--frames must be >= 1, got {args.frames}"
-    densities = (("--lidar-density", args.lidar_density), ("--radar-density", args.radar_density))
-    for flag, value in densities:
-        if value < 0:
-            return f"{flag} must be >= 0, got {value}"
-    sigmas = (("--lidar-noise", args.lidar_noise), ("--radar-noise", args.radar_noise))
-    for flag, value in sigmas:
-        if not (math.isfinite(value) and value >= 0.0):
-            return f"{flag} must be finite and >= 0, got {value}"
-    if not 0.0 <= args.dropout < 1.0:
-        return f"--dropout must be in [0, 1), got {args.dropout}"
-    return None
-
-
-def _perturb_arg_error(args: argparse.Namespace) -> str | None:
-    """The first out-of-range number among the perturb options, if any."""
-    bounds = (("--max-translation", args.max_translation), ("--max-rotation", args.max_rotation))
-    for flag, value in bounds:
-        if not (math.isfinite(value) and value >= 0.0):
-            return f"{flag} must be finite and >= 0, got {value}"
-    return None
-
-
 def cmd_gen_scene(args: argparse.Namespace) -> int:
-    problem = _gen_scene_arg_error(args)
-    if problem is not None:
-        print(f"error: {problem}", file=sys.stderr)
-        return 2
     # every frame is generated before anything is written, so a degenerate
     # scene leaves no partial output behind
     poses = default_sensor_poses()
@@ -183,11 +153,7 @@ def cmd_gen_scene(args: argparse.Namespace) -> int:
         for k in range(args.frames)
     ]
     out = Path(args.out)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        print(f"error: cannot create output dir {out}: {exc}", file=sys.stderr)
-        return 1
+    out.mkdir(parents=True, exist_ok=True)
     for frame, frame_dir in zip(frames, _frame_dirs(out, args.frames)):
         save_frame(frame, frame_dir, DEPTH_SCALE)
     _write_manifest(
@@ -209,10 +175,6 @@ def cmd_gen_scene(args: argparse.Namespace) -> int:
 
 
 def cmd_perturb(args: argparse.Namespace) -> int:
-    problem = _perturb_arg_error(args)
-    if problem is not None:
-        print(f"error: {problem}", file=sys.stderr)
-        return 2
     src = Path(args.frames)
     out = Path(args.out)
     frames, manifest = _load_frames(src)
@@ -349,26 +311,7 @@ def _predictions_csv(rows: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _calibrate_arg_error(args: argparse.Namespace) -> str | None:
-    """The first out-of-range number among the calibrate options, if any."""
-    for flag, value in (
-        ("--budget", args.budget),
-        ("--runs", args.runs),
-        ("--multiframe", args.multiframe),
-        ("--jobs", args.jobs),
-    ):
-        if value is not None and value < 1:
-            return f"{flag} must be >= 1, got {value}"
-    if not 0.0 <= args.loop_weight <= 1.0:
-        return f"--loop-weight must be in [0, 1], got {args.loop_weight}"
-    return None
-
-
 def cmd_calibrate(args: argparse.Namespace) -> int:
-    problem = _calibrate_arg_error(args)
-    if problem is not None:
-        print(f"error: {problem}", file=sys.stderr)
-        return 2
     preset_name, rigid = _SCENARIOS[args.scenario]
     runs = args.runs if args.runs is not None else (50 if rigid else 1)
     if args.multiframe > 1 and not rigid:
@@ -496,9 +439,7 @@ def cmd_render(args: argparse.Namespace) -> int:
     for frame in frames:
         edges = {
             "gt": true_edges(frame),
-            "miscalibrated": PredictionSet(
-                frame.fixed_cam_lidar, frame.fixed_lidar_radar, frame.fixed_radar_cam
-            ),
+            "miscalibrated": frame.fixed,
             "predicted": pred_edges,
         }
         for source in args.source:
@@ -506,6 +447,13 @@ def cmd_render(args: argparse.Namespace) -> int:
             _overlay(frame, edges[source], manifest["camera"]["depth_scale"], out_path)
     print(f"wrote overlays to {out}")
     return 0
+
+
+# (test, words) of the accepted range of a numeric option; main reports the
+# first value that fails as "--<flag> must be <words>, got <value>"
+_AT_LEAST_0 = (lambda v: v >= 0, ">= 0")
+_AT_LEAST_1 = (lambda v: v >= 1, ">= 1")
+_FINITE_AT_LEAST_0 = (lambda v: math.isfinite(v) and v >= 0.0, "finite and >= 0")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -524,7 +472,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lidar-noise", type=float, default=0.0)
     p.add_argument("--radar-noise", type=float, default=0.0)
     p.add_argument("--dropout", type=float, default=0.0)
-    p.set_defaults(func=cmd_gen_scene)
+    p.set_defaults(
+        func=cmd_gen_scene,
+        ranges={
+            "seed": _AT_LEAST_0,
+            "frames": _AT_LEAST_1,
+            "lidar_density": _AT_LEAST_0,
+            "radar_density": _AT_LEAST_0,
+            "lidar_noise": _FINITE_AT_LEAST_0,
+            "radar_noise": _FINITE_AT_LEAST_0,
+            "dropout": (lambda v: 0.0 <= v < 1.0, "in [0, 1)"),
+        },
+    )
 
     p = sub.add_parser("perturb", help="apply random miscalibration to frames")
     p.add_argument("--frames", required=True, help="input frame directory")
@@ -533,7 +492,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-translation", type=float, default=0.2, help="meters per axis")
     p.add_argument("--max-rotation", type=float, default=1.0, help="degrees per axis")
     p.add_argument("--rigid", action="store_true", help="one miscalibration for all frames")
-    p.set_defaults(func=cmd_perturb)
+    p.set_defaults(
+        func=cmd_perturb,
+        ranges={
+            "seed": _AT_LEAST_0,
+            "max_translation": _FINITE_AT_LEAST_0,
+            "max_rotation": _FINITE_AT_LEAST_0,
+        },
+    )
 
     p = sub.add_parser("calibrate", help="perturb, estimate, and report errors")
     p.add_argument("--frames", required=True)
@@ -552,7 +518,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="frames estimated together per group (rigid-* scenarios only)",
     )
     p.add_argument("--jobs", type=int, default=1)
-    p.set_defaults(func=cmd_calibrate)
+    p.set_defaults(
+        func=cmd_calibrate,
+        ranges={
+            "seed": _AT_LEAST_0,
+            **dict.fromkeys(("budget", "runs", "multiframe", "jobs"), _AT_LEAST_1),
+            "loop_weight": (lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
+        },
+    )
 
     p = sub.add_parser("evaluate", help="recompute summaries from predictions.csv")
     p.add_argument("--pred", required=True, help="predictions.csv from calibrate")
@@ -575,6 +548,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    for dest, (in_range, words) in getattr(args, "ranges", {}).items():
+        value = getattr(args, dest)
+        if value is not None and not in_range(value):  # --runs defaults to None
+            flag = "--" + dest.replace("_", "-")
+            print(f"error: {flag} must be {words}, got {value}", file=sys.stderr)
+            return 2
     try:
         return args.func(args)
     except CalibrationError as exc:

@@ -10,6 +10,7 @@ import numpy as np
 from .transform import RigidTransform
 
 if TYPE_CHECKING:
+    from .loss import PredictionSet
     from .projection import ProjectionConfig
 
 __all__ = ["LIDAR_CHANNELS", "RADAR_CHANNELS", "FrameSet", "PointCloud"]
@@ -75,9 +76,9 @@ class PointCloud:
 class FrameSet:
     """One synchronized multi-sensor frame.
 
-    The fixed_* transforms are the unperturbed ground-truth pairwise
-    calibrations (cam<-lidar, lidar<-radar, radar<-cam as point maps); they
-    always compose to the identity around the loop.  lidar_mis / radar_mis
+    fixed holds the unperturbed ground-truth pairwise calibrations
+    (cam<-lidar, lidar<-radar, radar<-cam as point maps), all three present;
+    they always compose to the identity around the loop.  lidar_mis / radar_mis
     record the miscalibration currently applied to the stored clouds
     (identity when the frame is clean).  Frames compare by identity.
     """
@@ -87,8 +88,6 @@ class FrameSet:
     camera_config: "ProjectionConfig"
     lidar: PointCloud
     radar: PointCloud
-    fixed_cam_lidar: RigidTransform
-    fixed_lidar_radar: RigidTransform
-    fixed_radar_cam: RigidTransform
+    fixed: "PredictionSet"
     lidar_mis: RigidTransform = field(default_factory=RigidTransform.identity)
     radar_mis: RigidTransform = field(default_factory=RigidTransform.identity)

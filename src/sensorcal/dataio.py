@@ -23,7 +23,7 @@ from .errors import (
     ParseError,
     SizeMismatchError,
 )
-from .loss import PAIR_NAMES
+from .loss import PAIR_NAMES, PredictionSet
 from .projection import (
     ProjectionConfig,
     _merge_nearest,
@@ -415,9 +415,11 @@ def generate_scene(
         camera_config=spec.camera,
         lidar=lidar,
         radar=radar,
-        fixed_cam_lidar=compose(invert(cam_pose), lidar_pose),
-        fixed_lidar_radar=compose(invert(lidar_pose), radar_pose),
-        fixed_radar_cam=compose(invert(radar_pose), cam_pose),
+        fixed=PredictionSet(
+            compose(invert(cam_pose), lidar_pose),
+            compose(invert(lidar_pose), radar_pose),
+            compose(invert(radar_pose), cam_pose),
+        ),
     )
 
 
@@ -538,14 +540,7 @@ def save_frame(frame: FrameSet, out_dir, depth_scale: float) -> None:
     save_cloud(frame.lidar, out_dir / "lidar.bin")
     save_cloud(frame.radar, out_dir / "radar.bin")
     write_pgm(frame.camera_depth[..., 0], out_dir / "camera_depth.pgm", depth_scale)
-    save_calib(
-        {
-            "cam_lidar": frame.fixed_cam_lidar,
-            "lidar_radar": frame.fixed_lidar_radar,
-            "radar_cam": frame.fixed_radar_cam,
-        },
-        out_dir / "calib.txt",
-    )
+    save_calib(dict(frame.fixed.present()), out_dir / "calib.txt")
     identity = RigidTransform.identity()
     perturbed = (
         np.max(np.abs(frame.lidar_mis.matrix() - identity.matrix())) > 1e-12
@@ -587,9 +582,7 @@ def load_frame(
         camera_config=camera,
         lidar=load_cloud(frame_dir / "lidar.bin", LIDAR_CHANNELS),
         radar=load_cloud(frame_dir / "radar.bin", RADAR_CHANNELS),
-        fixed_cam_lidar=calib["cam_lidar"],
-        fixed_lidar_radar=calib["lidar_radar"],
-        fixed_radar_cam=calib["radar_cam"],
+        fixed=PredictionSet(**{name: calib[name] for name in PAIR_NAMES}),
         lidar_mis=mis["lidar_mis"],
         radar_mis=mis["radar_mis"],
     )

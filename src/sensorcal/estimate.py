@@ -466,9 +466,9 @@ def _build_problems(
     crop_margin = stage.bounds.max_rotation + math.atan2(stage.bounds.max_translation, 4.0) + 0.1
     first = frames[0]
     nominals = {
-        "cam_lidar": first.fixed_cam_lidar,
-        "lidar_radar": first.fixed_lidar_radar,
-        "radar_cam": invert(first.fixed_radar_cam),
+        "cam_lidar": first.fixed.cam_lidar,
+        "lidar_radar": first.fixed.lidar_radar,
+        "radar_cam": invert(first.fixed.radar_cam),
     }
     problems = []
     for name in PAIR_NAMES:
@@ -623,8 +623,7 @@ def estimate_multiframe(
 
 def true_edges(frame: FrameSet) -> PredictionSet:
     """Ground-truth pairwise edges of the frame under its recorded miscalibration."""
-    fixed = PredictionSet(frame.fixed_cam_lidar, frame.fixed_lidar_radar, frame.fixed_radar_cam)
-    return fixed.moved(frame.lidar_mis, frame.radar_mis)
+    return frame.fixed.moved(frame.lidar_mis, frame.radar_mis)
 
 
 def oracle_estimator(

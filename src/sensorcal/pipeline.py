@@ -41,12 +41,12 @@ def sensor_corrections(
     identity = RigidTransform.identity()
     lidar = identity
     if preds.cam_lidar is not None:
-        lidar = compose(invert(preds.cam_lidar), frame.fixed_cam_lidar)
+        lidar = compose(invert(preds.cam_lidar), frame.fixed.cam_lidar)
     if preds.radar_cam is not None:
-        radar = compose(preds.radar_cam, invert(frame.fixed_radar_cam))
+        radar = compose(preds.radar_cam, invert(frame.fixed.radar_cam))
     elif preds.lidar_radar is not None:
         radar = invert(
-            compose(compose(invert(frame.fixed_lidar_radar), invert(lidar)), preds.lidar_radar)
+            compose(compose(invert(frame.fixed.lidar_radar), invert(lidar)), preds.lidar_radar)
         )
     else:
         radar = identity

@@ -91,10 +91,6 @@ class RigidTransform:
         return cls(q=np.array([1.0, 0.0, 0.0, 0.0]), t=np.zeros(3))
 
     @classmethod
-    def from_translation(cls, x: float, y: float, z: float) -> "RigidTransform":
-        return cls(q=np.array([1.0, 0.0, 0.0, 0.0]), t=np.array([x, y, z], dtype=float))
-
-    @classmethod
     def from_matrix(cls, m) -> "RigidTransform":
         """Build from a 4x4 homogeneous (or 3x4 [R|t]) matrix."""
         m = np.asarray(m, dtype=float)

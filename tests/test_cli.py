@@ -1,3 +1,4 @@
+import argparse
 import filecmp
 import json
 import math
@@ -7,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sensorcal.cli import main
+from sensorcal.cli import build_parser, main
 from sensorcal.dataio import write_pgm
 from sensorcal.errors import ParseError
 
@@ -507,6 +508,35 @@ def test_cli_predictions_equal_direct_library_calls(frames_dir, tmp_path):
         assert np.array_equal(stored, np.concatenate([value.q, value.t]))
 
 
+@pytest.mark.parametrize("rigid", [False, True])
+def test_perturb_and_calibrate_draw_the_same_miscalibration(frames_dir, tmp_path, rigid):
+    """perturb --seed S and calibrate --seed S perturb the frames alike, so
+    calibrate's gt columns are the true edges of perturb's frames."""
+    from sensorcal.cli import _load_frames
+    from sensorcal.estimate import true_edges
+
+    pert, cal = tmp_path / "pert", tmp_path / "cal"
+    rigid_flag = ["--rigid"] if rigid else []
+    assert main(
+        ["perturb", "--frames", str(frames_dir), "--out", str(pert), "--seed", "23", *rigid_flag]
+    ) == 0
+    assert main(
+        [
+            "calibrate", "--frames", str(frames_dir), "--out", str(cal),
+            "--scenario", "rigid-small" if rigid else "small",
+            "--estimator", "oracle", "--runs", "1", "--seed", "23",
+        ]
+    ) == 0
+    perturbed, _ = _load_frames(pert)
+    rows = [line.split(",") for line in (cal / "predictions.csv").read_text().splitlines()[1:]]
+    rows = [parts for parts in rows if parts[1] != "-1"]  # not the rigid aggregate
+    assert len(rows) == 3 * len(perturbed) == 6
+    for parts in rows:
+        gt = true_edges(perturbed[int(parts[1])]).get(parts[2])
+        stored = np.array([float(v) for v in parts[10:]])
+        assert np.allclose(stored, np.concatenate([gt.q, gt.t]), rtol=0.0, atol=1e-12)
+
+
 def _identity_predictions(frames_dir, tmp_path) -> Path:
     cal = tmp_path / "cal"
     assert main(
@@ -560,6 +590,7 @@ def test_evaluate_rejects_a_file_that_is_not_predictions(tmp_path, capsys, conte
         ("--runs", "0", "--runs must be >= 1, got 0"),
         ("--multiframe", "0", "--multiframe must be >= 1, got 0"),
         ("--jobs", "0", "--jobs must be >= 1, got 0"),
+        ("--seed", "-1", "--seed must be >= 0, got -1"),
     ],
 )
 def test_calibrate_rejects_out_of_range_numbers(frames_dir, tmp_path, capsys, flag, value, message):
@@ -588,6 +619,7 @@ def test_calibrate_rejects_out_of_range_numbers(frames_dir, tmp_path, capsys, fl
         ("--dropout", "1.0", "--dropout must be in [0, 1), got 1.0"),
         ("--dropout", "-0.1", "--dropout must be in [0, 1), got -0.1"),
         ("--dropout", "nan", "--dropout must be in [0, 1), got nan"),
+        ("--seed", "-1", "--seed must be >= 0, got -1"),
     ],
 )
 def test_gen_scene_rejects_out_of_range_numbers(tmp_path, capsys, flag, value, message):
@@ -630,6 +662,7 @@ def test_gen_scene_degenerate_frame_writes_nothing(tmp_path, capsys, args, messa
         ("--max-rotation", "inf", "--max-rotation must be finite and >= 0, got inf"),
         ("--max-translation", "nan", "--max-translation must be finite and >= 0, got nan"),
         ("--max-translation", "-0.2", "--max-translation must be finite and >= 0, got -0.2"),
+        ("--seed", "-1", "--seed must be >= 0, got -1"),
     ],
 )
 def test_perturb_rejects_out_of_range_numbers(frames_dir, tmp_path, capsys, flag, value, message):
@@ -638,3 +671,12 @@ def test_perturb_rejects_out_of_range_numbers(frames_dir, tmp_path, capsys, flag
     assert main(["perturb", "--frames", str(frames_dir), "--out", str(out), flag, value]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
+
+
+def test_every_numeric_option_is_range_checked():
+    subparsers = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    for name, sub in subparsers.choices.items():
+        numeric = {a.dest for a in sub._actions if a.type in (int, float)}
+        assert set(sub.get_default("ranges") or {}) == numeric, name

@@ -26,6 +26,7 @@ from sensorcal.errors import (
     ParseError,
     SizeMismatchError,
 )
+from sensorcal.loss import PredictionSet
 from sensorcal.projection import ProjectionConfig, project_equirect
 from sensorcal.transform import RigidTransform, from_euler
 
@@ -39,7 +40,7 @@ def test_scene_is_deterministic():
     assert np.array_equal(a.lidar.channels, b.lidar.channels)
     assert np.array_equal(a.radar.xyz, b.radar.xyz)
     assert np.array_equal(a.camera_depth, b.camera_depth)
-    assert np.array_equal(a.fixed_cam_lidar.q, b.fixed_cam_lidar.q)
+    assert np.array_equal(a.fixed.cam_lidar.q, b.fixed.cam_lidar.q)
 
 
 def test_scene_schemas_and_loop():
@@ -47,7 +48,7 @@ def test_scene_schemas_and_loop():
     frame = generate_scene(random_scene_spec(seed=4, lidar_density=800, radar_density=120), poses)
     assert frame.lidar.schema == LIDAR_CHANNELS
     assert frame.radar.schema == RADAR_CHANNELS
-    loop = frame.fixed_cam_lidar.matrix() @ frame.fixed_lidar_radar.matrix() @ frame.fixed_radar_cam.matrix()
+    loop = frame.fixed.cam_lidar.matrix() @ frame.fixed.lidar_radar.matrix() @ frame.fixed.radar_cam.matrix()
     assert np.allclose(loop, np.eye(4), atol=1e-12)
 
 
@@ -250,7 +251,7 @@ def test_frame_roundtrip(tmp_path):
     assert np.array_equal(
         loaded.radar.channels.astype(np.float32), frame.radar.channels.astype(np.float32)
     )
-    assert np.allclose(loaded.fixed_cam_lidar.q, frame.fixed_cam_lidar.q, atol=1e-15)
+    assert np.allclose(loaded.fixed.cam_lidar.q, frame.fixed.cam_lidar.q, atol=1e-15)
     occ = frame.camera_depth[..., 0] > 0
     assert np.array_equal(loaded.camera_depth[..., 0] > 0.5, occ)
     assert np.max(np.abs(loaded.camera_depth[occ] - frame.camera_depth[occ])) < 80.0 / 65535.0 + 1e-6
@@ -271,8 +272,6 @@ def test_clouds_and_frames_compare_by_identity():
         camera_config=ProjectionConfig.pinhole(2, 2, fx=1.0, fy=1.0, cx=1.0, cy=1.0),
         lidar=cloud,
         radar=twin,
-        fixed_cam_lidar=identity,
-        fixed_lidar_radar=identity,
-        fixed_radar_cam=identity,
+        fixed=PredictionSet(identity, identity, identity),
     )
     assert frame == frame and frame != replace(frame)

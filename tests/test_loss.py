@@ -47,7 +47,7 @@ def test_smooth_l1_examples():
 
 def test_param_loss_examples():
     assert param_loss(IDENTITY, IDENTITY, W) == 0.0
-    shifted = RigidTransform.from_translation(0.5, 0.0, 0.0)
+    shifted = from_euler([0, 0, 0, 0.5, 0.0, 0.0])
     assert abs(param_loss(shifted, IDENTITY, W) - 0.25) < 1e-12
     rotated = rot_z(math.pi / 2)
     assert abs(param_loss(rotated, IDENTITY, W) - (math.pi / 2 - 0.5)) < 1e-12
@@ -56,7 +56,7 @@ def test_param_loss_examples():
 def test_point_loss_examples():
     cloud = PointCloud.bare([[1.0, 0.0, 0.0]])
     assert point_loss(IDENTITY, IDENTITY, cloud) == 0.0
-    shifted = RigidTransform.from_translation(0.1, 0.0, 0.0)
+    shifted = from_euler([0, 0, 0, 0.1, 0.0, 0.0])
     assert abs(point_loss(shifted, IDENTITY, cloud) - 0.1) < 1e-12
     two = PointCloud.bare([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
     assert abs(point_loss(rot_z(math.pi), IDENTITY, two) - 2.0) < 1e-12
@@ -69,7 +69,7 @@ def test_point_loss_equals_translation_magnitude():
     cloud = PointCloud.bare(rng.uniform(-10, 10, (64, 3)))
     for _ in range(10):
         t = rng.uniform(-2, 2, 3)
-        pred = RigidTransform.from_translation(*t)
+        pred = from_euler([0, 0, 0, *t])
         assert abs(point_loss(pred, IDENTITY, cloud) - np.linalg.norm(t)) < 1e-12
 
 
@@ -78,7 +78,7 @@ def test_pairwise_loss_examples():
     clouds = {name: PointCloud.bare([[0.0, 0.0, 0.0]]) for name in ("cam_lidar", "lidar_radar", "radar_cam")}
     assert pairwise_loss(gts, gts, clouds, W) == 0.0
 
-    shifted = RigidTransform.from_translation(0.5, 0.0, 0.0)
+    shifted = from_euler([0, 0, 0, 0.5, 0.0, 0.0])
     one = PredictionSet(cam_lidar=shifted)
     assert abs(pairwise_loss(one, gts, clouds, W) - 0.375) < 1e-12
 
@@ -100,9 +100,9 @@ def test_loop_transform_examples():
     assert np.allclose(loop_transform(all_id).matrix(), np.eye(4))
 
     cancel = PredictionSet(
-        cam_lidar=RigidTransform.from_translation(1, 0, 0),
+        cam_lidar=from_euler([0, 0, 0, 1, 0, 0]),
         lidar_radar=IDENTITY,
-        radar_cam=RigidTransform.from_translation(-1, 0, 0),
+        radar_cam=from_euler([0, 0, 0, -1, 0, 0]),
     )
     assert np.allclose(loop_transform(cancel).matrix(), np.eye(4), atol=1e-12)
 
@@ -122,7 +122,7 @@ def test_loop_loss_examples():
     assert loop_loss(consistent, cloud, W) < 1e-9
 
     shifted = PredictionSet(
-        cam_lidar=RigidTransform.from_translation(0.5, 0, 0),
+        cam_lidar=from_euler([0, 0, 0, 0.5, 0, 0]),
         lidar_radar=IDENTITY,
         radar_cam=IDENTITY,
     )

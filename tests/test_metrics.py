@@ -34,7 +34,7 @@ def test_error_record_examples():
     identity = RigidTransform.identity()
     r = error_record(identity, identity, "cam_lidar")
     assert r.rotation_deg == 0.0 and r.translation_cm == 0.0
-    shifted = RigidTransform.from_translation(0.01, 0, 0)
+    shifted = from_euler([0, 0, 0, 0.01, 0, 0])
     r = error_record(shifted, identity)
     assert abs(r.translation_cm - 1.0) < 1e-9 and r.rotation_deg == 0.0
     rotated = from_euler([0.0, 0.0, math.pi / 2, 0.0, 0.0, 0.0])

@@ -14,6 +14,7 @@ from sensorcal.perturb import (
 from sensorcal.transform import (
     apply,
     compose,
+    from_euler,
     invert,
     to_euler,
 )
@@ -84,9 +85,7 @@ def test_identity_miscalibration_is_noop(frame):
 
 
 def test_radar_shift_moves_every_point(frame):
-    from sensorcal.transform import RigidTransform
-
-    shift = RigidTransform.from_translation(0.1, 0.0, 0.0)
+    shift = from_euler([0, 0, 0, 0.1, 0.0, 0.0])
     perturbed = apply_miscalibration(frame, radar_mis=shift)
     assert np.allclose(perturbed.radar.xyz - frame.radar.xyz, [0.1, 0.0, 0.0])
 
@@ -98,9 +97,9 @@ def test_recorded_miscalibration_reproduces_perturbed_pose(frame):
     mis = sample_miscalibration(MiscalBounds(0.4, 0.25), rng)
     perturbed = apply_miscalibration(frame, lidar_mis=mis)
     edge = true_edges(perturbed).cam_lidar
-    assert np.allclose(edge.matrix(), compose(frame.fixed_cam_lidar, invert(mis)).matrix())
+    assert np.allclose(edge.matrix(), compose(frame.fixed.cam_lidar, invert(mis)).matrix())
     via_perturbed = apply(edge, perturbed.lidar)
-    via_clean = apply(frame.fixed_cam_lidar, frame.lidar)
+    via_clean = apply(frame.fixed.cam_lidar, frame.lidar)
     assert np.allclose(via_perturbed.xyz, via_clean.xyz, atol=1e-9)
 
 

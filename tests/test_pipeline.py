@@ -107,10 +107,10 @@ def test_final_equals_composition_of_stage_corrections(perturbed):
     for m_lidar, m_radar in detail.corrections:
         lidar_total = compose(lidar_total, m_lidar)
         radar_total = compose(radar_total, m_radar)
-    expected_cl = compose(perturbed.fixed_cam_lidar, invert(lidar_total))
+    expected_cl = compose(perturbed.fixed.cam_lidar, invert(lidar_total))
     assert np.allclose(detail.final.cam_lidar.q, expected_cl.q, atol=1e-9)
     assert np.allclose(detail.final.cam_lidar.t, expected_cl.t, atol=1e-9)
-    expected_rc = compose(radar_total, perturbed.fixed_radar_cam)
+    expected_rc = compose(radar_total, perturbed.fixed.radar_cam)
     assert np.allclose(detail.final.radar_cam.q, expected_rc.q, atol=1e-9)
     assert np.allclose(detail.final.radar_cam.t, expected_rc.t, atol=1e-9)
 
@@ -186,9 +186,9 @@ def test_aggregate_idempotent_on_identical():
 
 def test_aggregate_component_median():
     preds = [
-        PredictionSet(cam_lidar=RigidTransform.from_translation(1, 1, 1)),
-        PredictionSet(cam_lidar=RigidTransform.from_translation(2, 2, 2)),
-        PredictionSet(cam_lidar=RigidTransform.from_translation(3, 3, 3)),
+        PredictionSet(cam_lidar=from_euler([0, 0, 0, 1, 1, 1])),
+        PredictionSet(cam_lidar=from_euler([0, 0, 0, 2, 2, 2])),
+        PredictionSet(cam_lidar=from_euler([0, 0, 0, 3, 3, 3])),
     ]
     agg = aggregate_sequence(preds, mode="median")
     assert np.allclose(agg.cam_lidar.t, [2, 2, 2])
@@ -198,10 +198,10 @@ def test_aggregate_component_median():
 def test_aggregate_median_robust_to_outlier():
     rng = np.random.default_rng(72)
     cluster = [
-        PredictionSet(cam_lidar=RigidTransform.from_translation(*(1.0 + rng.normal(0, 1e-7, 3))))
+        PredictionSet(cam_lidar=from_euler([0, 0, 0, *(1.0 + rng.normal(0, 1e-7, 3))]))
         for _ in range(9)
     ]
-    outlier = PredictionSet(cam_lidar=RigidTransform.from_translation(50, -50, 50))
+    outlier = PredictionSet(cam_lidar=from_euler([0, 0, 0, 50, -50, 50]))
     agg = aggregate_sequence(cluster + [outlier], mode="median")
     cluster_median = np.median(np.stack([p.cam_lidar.t for p in cluster]), axis=0)
     assert np.max(np.abs(agg.cam_lidar.t - cluster_median)) < 1e-6
@@ -256,7 +256,7 @@ def test_aggregate_is_invariant_to_quaternion_sign(rotations, flips, mode):
 
 def test_aggregate_median_of_odd_collinear_is_element():
     translations = [(1.0, 2.0, 3.0), (4.0, 5.0, 6.0), (7.0, 8.0, 9.0)]
-    preds = [PredictionSet(cam_lidar=RigidTransform.from_translation(*t)) for t in translations]
+    preds = [PredictionSet(cam_lidar=from_euler([0, 0, 0, *t])) for t in translations]
     agg = aggregate_sequence(preds, mode="median")
     assert tuple(agg.cam_lidar.t) == translations[1]
 
@@ -303,7 +303,7 @@ def test_accumulate_compensates_ego_motion():
     rng = np.random.default_rng(75)
     cloud = _radar_cloud(rng)
     older_pose = RigidTransform.identity()
-    newer_pose = RigidTransform.from_translation(1.0, 0.0, 0.0)
+    newer_pose = from_euler([0, 0, 0, 1.0, 0.0, 0.0])
     out = accumulate_radar([cloud, cloud], [older_pose, newer_pose], count=5)
     older_part = out.xyz[len(cloud):]
     assert np.allclose(older_part, cloud.xyz - np.array([1.0, 0.0, 0.0]), atol=1e-12)

@@ -40,8 +40,8 @@ def test_constructor_normalizes_and_canonicalizes():
 
 
 def test_compose_pure_translations_add():
-    a = RigidTransform.from_translation(1, 0, 0)
-    b = RigidTransform.from_translation(0, 2, 0)
+    a = from_euler([0, 0, 0, 1, 0, 0])
+    b = from_euler([0, 0, 0, 0, 2, 0])
     c = compose(a, b)
     assert np.allclose(c.t, [1, 2, 0])
     assert np.allclose(c.q, [1, 0, 0, 0])
@@ -71,7 +71,7 @@ def test_compose_matches_matrix_product():
 
 def test_invert_identity_and_translation():
     assert np.allclose(invert(RigidTransform.identity()).matrix(), np.eye(4))
-    inv = invert(RigidTransform.from_translation(1, 2, 3))
+    inv = invert(from_euler([0, 0, 0, 1, 2, 3]))
     assert np.allclose(inv.t, [-1, -2, -3])
 
 
@@ -97,7 +97,7 @@ def test_apply_identity_rotation_translation():
     assert np.array_equal(same.xyz, cloud.xyz)
     rotated = apply(rot_z(math.pi / 2), cloud)
     assert np.allclose(rotated.xyz[0], [0, 1, 0], atol=1e-12)
-    shifted = apply(RigidTransform.from_translation(0, 0, 5), cloud)
+    shifted = apply(from_euler([0, 0, 0, 0, 0, 5]), cloud)
     assert np.allclose(shifted.xyz[1], [1, 1, 6])
     # channels pass through untouched
     assert np.array_equal(rotated.channels, cloud.channels)
@@ -216,6 +216,9 @@ def assert_bit_identical(a, b):
 @given(_vectors)
 def test_from_euler_bit_identical_to_the_constructor_path(v):
     assert_bit_identical(from_euler(v), reference_from_euler(v))
+    # zero angles give a pure translation
+    pure = RigidTransform(q=[1, 0, 0, 0], t=v[3:])
+    assert_bit_identical(from_euler([0, 0, 0, *v[3:]]), pure)
 
 
 @given(
@@ -291,7 +294,7 @@ def test_compose_invert_and_from_euler_bit_identical_to_the_constructor_path(u, 
 
 
 def test_compose_rejects_a_translation_that_overflows():
-    far = RigidTransform.from_translation(1e308, 0.0, 0.0)
+    far = from_euler([0, 0, 0, 1e308, 0.0, 0.0])
     with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
         compose(far, far)
 
