@@ -266,6 +266,20 @@ def _calibrate_run(frames: list[FrameSet], task: dict) -> tuple[int, list[dict]]
     return run, rows
 
 
+_worker_frames: list[FrameSet] = []
+
+
+def _init_worker(frames: list[FrameSet]) -> None:
+    """Hold the frames in a ``calibrate --jobs N`` worker, so that its runs
+    share each depth image and the camera targets built from it."""
+    global _worker_frames
+    _worker_frames = frames
+
+
+def _worker_run(task: dict) -> tuple[int, list[dict]]:
+    return _calibrate_run(_worker_frames, task)
+
+
 def _prediction_rows(
     run: int, frame: int, preds: PredictionSet, gts: PredictionSet
 ) -> list[dict]:
@@ -331,12 +345,11 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
         "multiframe": args.multiframe,
     }
     tasks = [{**task_base, "run": r} for r in range(runs)]
-    run = partial(_calibrate_run, frames)
     if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(run, tasks))
+        with ProcessPoolExecutor(args.jobs, initializer=_init_worker, initargs=(frames,)) as pool:
+            results = list(pool.map(_worker_run, tasks))
     else:
-        results = map(run, tasks)
+        results = map(partial(_calibrate_run, frames), tasks)
     all_rows = [row for _, rows in results for row in rows]
 
     # every run has finished, so a failed calibration leaves no --out behind

@@ -11,6 +11,7 @@ and identity test doubles plug into the same pipeline slots.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import islice
@@ -425,35 +426,25 @@ def _scores(
     return out
 
 
-def _camera_targets(
-    frames: Sequence[FrameSet],
-    pull_back: RigidTransform,
-    proj: ProjectionConfig,
-    cache: dict | None,
-) -> list[tuple[int, np.ndarray]]:
-    """``_camera_target`` of each frame, reused from cache when possible.
+# camera targets by the id of their depth image, then by (pull-back, raster, camera)
+_CAMERA_TARGETS: dict[int, dict[tuple, tuple[int, np.ndarray]]] = {}
 
-    A camera target depends only on the depth image, the camera, the
-    pull-back and the raster.  ``apply_miscalibration`` keeps the depth
-    image object, so the stages of one refinement find the targets of the
-    first stage; the cache holds those depth images, so an identity test
-    cannot match an array allocated later.
-    """
-    depths = [frame.camera_depth for frame in frames]
-    cameras = [frame.camera_config for frame in frames]
-    key = (pull_back.q.tobytes(), pull_back.t.tobytes(), proj)
-    if cache is not None and key in cache:
-        held_depths, held_cameras, bands = cache[key]
-        if (
-            len(held_depths) == len(depths)
-            and all(a is b for a, b in zip(held_depths, depths))
-            and held_cameras == cameras
-        ):
-            return bands
-    bands = [_camera_target(frame, pull_back, proj) for frame in frames]
-    if cache is not None:
-        cache[key] = (depths, cameras, bands)
-    return bands
+
+def _cached_camera_target(
+    frame: FrameSet, pull_back: RigidTransform, proj: ProjectionConfig
+) -> tuple[int, np.ndarray]:
+    """``_camera_target``, built once per (depth image, camera, pull-back, raster)
+    and dropped when the depth image is freed.  ``apply_miscalibration`` keeps
+    the depth image, so the stages and runs on one loaded frame share it."""
+    depth = frame.camera_depth
+    targets = _CAMERA_TARGETS.get(id(depth))
+    if targets is None:
+        targets = _CAMERA_TARGETS[id(depth)] = {}
+        weakref.finalize(depth, _CAMERA_TARGETS.pop, id(depth), None)
+    key = (pull_back.q.tobytes(), pull_back.t.tobytes(), proj, frame.camera_config)
+    if key not in targets:
+        targets[key] = _camera_target(frame, pull_back, proj)
+    return targets[key]
 
 
 def _build_problems(
@@ -461,7 +452,6 @@ def _build_problems(
     pairs: Iterable[str],
     stage: EstimatorStage,
     cfg: AlignmentCostConfig,
-    camera_targets: dict | None = None,
 ) -> list[_EdgeProblem]:
     crop_margin = stage.bounds.max_rotation + math.atan2(stage.bounds.max_translation, 4.0) + 0.1
     first = frames[0]
@@ -489,7 +479,7 @@ def _build_problems(
         proj = edge_cfg.projection
         pull_back = invert(nominal)
         if name != "lidar_radar":
-            bands = _camera_targets(frames, pull_back, proj, camera_targets)
+            bands = [_cached_camera_target(frame, pull_back, proj) for frame in frames]
         for frame in frames:
             if name == "cam_lidar":
                 source = frame.lidar.without_channels()
@@ -544,7 +534,6 @@ def estimate_multiframe(
     *,
     pairs: Iterable[str] = PAIR_NAMES,
     seed: int = 0,
-    camera_targets: dict | None = None,
 ) -> PredictionSet:
     """Shared transform set minimizing the mean per-frame objective.
 
@@ -557,14 +546,14 @@ def estimate_multiframe(
     from the two camera edges.  With loop_weight == 0 the three pairwise
     solutions are returned untouched.
 
-    camera_targets is a dict that the caller keeps across the stages of one
-    refinement, in which the camera targets are built once (see
-    ``_camera_targets``); without it they are built on every call.
+    A camera edge's target is built once per (depth image, camera, pull-back,
+    raster) and kept for the life of the depth image, so the stages and runs
+    on one loaded frame share it; the caller passes nothing for this.
     """
     if not frames:
         raise ValueError("estimate_multiframe needs at least one frame")
     pairs = tuple(pairs)
-    problems = _build_problems(frames, pairs, stage, cfg, camera_targets)
+    problems = _build_problems(frames, pairs, stage, cfg)
     rng = np.random.default_rng(seed)
 
     xs: dict[str, np.ndarray] = {}
@@ -644,14 +633,11 @@ def identity_estimator(
 def _estimator(
     w: LossWeights, cfg: AlignmentCostConfig, pairs: tuple[str, ...], seed: int
 ) -> Estimator:
-    """``estimate_multiframe`` bound to its settings, with one camera-target
-    cache kept across the stages it is called for."""
-    camera_targets: dict = {}
+    """``estimate_multiframe`` bound to its settings, looked up at each call so
+    that a wrapper on the module's name (the benchmark's tracer) sees it."""
 
     def run(frames: Sequence[FrameSet], stage: EstimatorStage) -> PredictionSet:
-        return estimate_multiframe(
-            frames, stage, w, cfg, pairs=pairs, seed=seed, camera_targets=camera_targets
-        )
+        return estimate_multiframe(frames, stage, w, cfg, pairs=pairs, seed=seed)
 
     return run
 
