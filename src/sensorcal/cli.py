@@ -524,7 +524,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--runs", type=int, default=None, help="default 1, or 50 for rigid-*")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--loop-weight", "--lambda", dest="loop_weight", type=float, default=0.25)
-    p.add_argument("--budget", type=int, default=1600, help="cost evaluations per stage")
+    p.add_argument(
+        "--budget", type=int, default=1600, metavar="N",
+        help="at most N cost evaluations per search per stage",
+    )
     p.add_argument("--aggregate", choices=("median", "mean"), default="median")
     p.add_argument(
         "--multiframe", type=int, default=1,

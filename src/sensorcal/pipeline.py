@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -74,6 +74,11 @@ def refine_multiframe(
     inverse of that stage's implied sensor corrections, so the remaining
     miscalibration fits the next (tighter) stage box.  The final edges equal
     the left-to-right composition of all per-stage corrections.
+
+    Every stage but the last reaches the estimator as
+    ``replace(stage, final=False)``, so only the last stage's joint polish
+    stops early (see ``EstimatorStage``): an earlier stage's output
+    re-perturbs the frames, and moving it re-rolls the stages after it.
     """
     if not stages:
         raise ValueError("refinement needs at least one stage")
@@ -85,6 +90,8 @@ def refine_multiframe(
     stage_predictions: list[PredictionSet] = []
     corrections: list[tuple[RigidTransform, RigidTransform]] = []
     for s, stage in enumerate(stages):
+        if s + 1 < len(stages):
+            stage = replace(stage, final=False)
         try:
             preds = estimator(cur, stage)
         except NoOverlapError as exc:

@@ -613,3 +613,64 @@ def test_joint_estimate_makes_a_pinned_number_of_cost_calls(monkeypatch):
     stage = EstimatorStage(bounds=box, budget=400)
     estimate_multiframe(group, stage, LossWeights(), AlignmentCostConfig(), seed=3)
     assert len(calls) == 8428
+
+
+# --- the final stage's stop -----------------------------------------------------
+
+
+def test_only_a_final_stage_polish_stops_at_the_final_tolerance(perturbed, monkeypatch):
+    """The joint polish of a final stage gets xatol 1e-5; a stage before the
+    last, and every edge search, keeps 1e-7."""
+    import sensorcal.estimate as estimate
+
+    polish_xatol = []
+    wrapped = estimate.minimize
+
+    def recording(costs, x0, *, options):
+        polish_xatol.append(options["xatol"])
+        return wrapped(costs, x0, options=options)
+
+    searched = []
+    search = estimate.search
+
+    def recording_search(x0, *, options):
+        searched.append(options["xatol"])
+        return search(x0, options=options)
+
+    monkeypatch.setattr(estimate, "minimize", recording)
+    monkeypatch.setattr(estimate, "search", recording_search)
+    w, cfg = LossWeights(), AlignmentCostConfig()
+    for final, xatol in ((True, 1e-5), (False, 1e-7)):
+        polish_xatol.clear()
+        stage = EstimatorStage(bounds=SMALL, budget=90, final=final)
+        estimate_multiframe([perturbed], stage, w, cfg, seed=2)
+        assert polish_xatol == [xatol]
+    # eight starts per edge, over both runs
+    assert searched == [1e-7] * 48
+
+
+def test_the_final_polish_stops_early_within_a_hundredth_of_a_degree(perturbed, monkeypatch):
+    """At the default budget the final stage's polish makes fewer cost calls
+    and moves no edge by 0.01 deg or 0.1 cm."""
+    import sensorcal.estimate as estimate
+
+    calls = []
+    counted = estimate.alignment_cost
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return counted(*args, **kwargs)
+
+    monkeypatch.setattr(estimate, "alignment_cost", counting)
+    w, cfg = LossWeights(), AlignmentCostConfig()
+    runs = {}
+    for final in (True, False):
+        calls.clear()
+        stage = EstimatorStage(bounds=SMALL, budget=1600, final=final)
+        runs[final] = estimate_multiframe([perturbed], stage, w, cfg, seed=1), len(calls)
+    (stopped, n_stopped), (full, n_full) = runs[True], runs[False]
+    assert n_stopped < n_full
+    for name, edge in stopped.present():
+        other = full.get(name)
+        assert math.degrees(quat_angular_distance(edge.q, other.q)) < 0.01
+        assert translation_distance(edge.t, other.t) < 0.001

@@ -7,7 +7,8 @@ candidates in the same order, so the evaluation count matches too.  The
 cases pin the corners of scipy's loop: budgets that end during the initial
 evaluations, before an expansion, a contraction or inside a shrink; +inf
 plateaus and an all-+inf simplex; tied costs; and runs that stop on
-``xatol``/``fatol``.
+``xatol``/``fatol``, among them the final polish's ``xatol = 1e-5`` on a
+quantised cost.
 """
 
 import math
@@ -182,6 +183,19 @@ def test_runs_that_stop_on_tolerance(scipy_minimize):
     # a flat objective stops as soon as the simplex is inside xatol
     tiny = np.vstack([np.zeros(6), 1e-8 * np.eye(6)])
     assert len(same_run(scipy_minimize, lambda x: 1.0, tiny, 50)) == 7
+
+
+@pytest.mark.parametrize(("n", "maxfev"), [(6, 250), (18, 800)])
+def test_quantised_runs_that_stop_on_the_final_polish_tolerance(scipy_minimize, n, maxfev):
+    # the final polish's tolerances (xatol 1e-5, fatol 1e-5) on a cost
+    # quantised like a raster's: the simplex settles on one plateau, and the
+    # search stops on xatol before maxfev, which it reaches with xatol 1e-7
+    bowl = _bumpy(n, 6)
+    fun = lambda x: round(bowl(x), 3)  # noqa: E731
+    simplex = _box_simplex(n, 6)
+    calls = same_run(scipy_minimize, fun, simplex, maxfev, fatol=1e-5, xatol=1e-5)
+    assert len(calls) < maxfev
+    assert len(same_run(scipy_minimize, fun, simplex, maxfev, fatol=1e-5, xatol=1e-7)) == maxfev
 
 
 def test_edge_cost_objective(scipy_minimize):

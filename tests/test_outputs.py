@@ -39,6 +39,10 @@ CHAIN = [
      "--scenario", "rigid-small", "--multiframe", "2", "--runs", "2", "--budget", "200"],
     ["calibrate", "--frames", "rigid_frames", "--out", "aggregated",
      "--scenario", "rigid-small", "--runs", "1", "--budget", "100"],
+    # the default budget, where the final stage's joint polish stops on its
+    # tolerance before the budget runs out
+    ["calibrate", "--frames", "frames", "--out", "default_budget",
+     "--scenario", "small", "--runs", "1"],
 ]
 
 SHA256 = {
@@ -98,6 +102,18 @@ SHA256 = {
         "acd9b82efc17ea6165b661c5797d75717d40db6b7a6fcc9ada32bfed20c35fd1",
     "render/frame_000_predicted.pgm":
         "ba06608ff9db8ba0753e089a2d2f7d6f7d16904d05d675559727fd9ad9562040",
+    "default_budget/errors.csv":
+        "a4615d05f28c4bda76931c687efdbe74e247155b8af762236358e6f925140e8f",
+    "default_budget/manifest.json":
+        "d1a6173f0d737214bd30bdfbc047770ade150c02b802f18f4f309006323eb61d",
+    "default_budget/predicted_calib.txt":
+        "a13e87b41aa5541fc699496d1e16aad4a8b0ca40a6ccfb3cf852b1f004d4020f",
+    "default_budget/predictions.csv":
+        "33c031a072bb1ef7c4cd41fac15c80104ded54c133cc6ba78c718fe59f448d3f",
+    "default_budget/summary.csv":
+        "71d0c5985ada207611a47fb1d975c5f9b1b2416b46dcdd5b010346d223a9c309",
+    "default_budget/summary.txt":
+        "0f4b18134bbe1ef153b6609ce4c3bfa5a6ee80bbddafd949b674cbbee32bbe13",
     "aggregated/errors.csv":
         "216688f929259db9cbfdbd3ae55b23adb037369f8cbe774aa37ea64169a9a2c6",
     "aggregated/manifest.json":

@@ -115,6 +115,23 @@ def test_final_equals_composition_of_stage_corrections(perturbed):
     assert np.allclose(detail.final.radar_cam.t, expected_rc.t, atol=1e-9)
 
 
+def test_only_the_last_stage_reaches_the_estimator_as_final(perturbed):
+    seen = []
+
+    def spy(frames, stage):
+        seen.append(stage)
+        return identity_estimator(frames, stage)
+
+    stages = stages_from_preset(PRESETS["refine"])
+    refine_multiframe([perturbed], spy, stages)
+    assert [stage.final for stage in seen] == [False, False, False, True]
+    # the rest of each stage is passed on unchanged
+    assert [(s.bounds, s.budget) for s in seen] == [(s.bounds, s.budget) for s in stages]
+    seen.clear()
+    refine_multiframe([perturbed], spy, stages[-1:])
+    assert [stage.final for stage in seen] == [True]
+
+
 def test_refine_propagates_no_overlap_with_stage_index(perturbed):
     def failing(frames, stage):
         raise NoOverlapError("nothing to see")
