@@ -526,7 +526,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--loop-weight", "--lambda", dest="loop_weight", type=float, default=0.25)
     p.add_argument(
         "--budget", type=int, default=1600, metavar="N",
-        help="at most N cost evaluations per search per stage",
+        help="cost evaluations per search per stage; a wide stage's rotation screen "
+        "can overspend it, and a final stage may stop beaten starts early",
     )
     p.add_argument("--aggregate", choices=("median", "mean"), default="median")
     p.add_argument(

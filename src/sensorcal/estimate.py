@@ -66,15 +66,26 @@ Estimator = Callable[[Sequence[FrameSet], "EstimatorStage"], PredictionSet]
 class EstimatorStage:
     """Search box and evaluation budget of one stage.
 
-    budget caps the candidates scored by each edge's multistart and by the
-    joint polish.  final is False for every stage of a refinement but the
-    last (``refine_multiframe`` sets it).  The joint polish of a final stage
-    stops once its simplex is within _FINAL_XATOL = 1e-5 (rad, m) of its
-    best vertex: about 1/400 of a pixel of the 1536-wide raster, and about
-    1/60 of the smallest median error a benchmark workload reports
-    (rigid-dense radar_cam, 0.036 deg).  Earlier stages keep _XATOL,
-    because their output re-perturbs the frames, and moving it at all
-    re-rolls the stages after it.
+    budget is what each edge's multistart and the joint polish may spend.
+    The polish keeps to it.  A multistart's rotation screen (wide boxes
+    only) is paid first and its starts share the rest, one evaluation each
+    at the least, so a screen larger than the budget overspends it: 13^3 =
+    2197 probes plus 8 starved evaluations make 2205 per edge in a +-20 deg
+    stage at budget 1600.
+
+    final is False for every stage of a refinement but the last
+    (``refine_multiframe`` sets it).  A final stage does two things earlier
+    stages do not, because their output re-perturbs the frames, and moving
+    it at all re-rolls the stages after it:
+
+    - its multistarts race their starts and stop the clearly beaten ones
+      early (see _RACE), which keeps the winner and its bits unless the
+      race retired it;
+    - its joint polish stops once its simplex is within _FINAL_XATOL = 1e-5
+      (rad, m) of its best vertex: about 1/400 of a pixel of the 1536-wide
+      raster, and about 1/60 of the smallest median error a benchmark
+      workload reports (rigid-dense radar_cam, 0.036 deg).  Earlier stages
+      keep _XATOL.
     """
 
     bounds: MiscalBounds
@@ -198,6 +209,19 @@ _SCREEN_TARGET_STEP = 0.06
 _SCREEN_MAX_PER_AXIS = 13
 # starts per multistart search: the identity plus seven screened or sampled
 _N_STARTS = 8
+# A final stage races its starts (neldermead.lockstep): at half of each
+# start's maxfev a start whose best cost is above 1.5 x the leader's retires,
+# and at three quarters one above 1.25 x.  Over 4,032 final-stage
+# multistarts (`small --runs 20` on the 4-frame `gen-scene --seed 7` and
+# `--seed 11` sequences and on the one-frame seed-7 scene, rigid-dense, the
+# last stage of `refine`), the eventual winner trailed the leader by at most
+# 1.319 / 1.147 at those points; on 1,920 more from two other 4-frame
+# sequences, by at most 1.344 / 1.101.  Tighter pairs retired winners there:
+# 1.2 / 1.05 nineteen, 1.3 / 1.12 three.  Below _RACE_MIN_MAXFEV a winner
+# trailed by up to 1.63 / 1.24 (maxfev 25), so no race runs.  The margins
+# are measured, not a bound (README, "Performance").
+_RACE = ((0.5, 1.5), (0.75, 1.25))
+_RACE_MIN_MAXFEV = 200
 
 
 def _rotation_screen(costs: Costs, box: np.ndarray, keep: int) -> tuple[list[np.ndarray], int]:
@@ -211,15 +235,20 @@ def _rotation_screen(costs: Costs, box: np.ndarray, keep: int) -> tuple[list[np.
 
 
 def _multistart(
-    costs: Costs, box: np.ndarray, budget: int, rng: np.random.Generator
+    costs: Costs, box: np.ndarray, budget: int, rng: np.random.Generator, *, race: bool = False
 ) -> tuple[np.ndarray, float]:
     """Identity start plus box samples, refined by Nelder-Mead; best wins.
 
     For wide rotation boxes the samples come from a coarse rotation-grid
-    screen instead of uniform draws.  Screen evaluations count against the
-    budget.  The starts run in lock-step, so each round's candidates are
-    scored together, and ties between starts keep the earliest start, so the
-    reduction is deterministic for a fixed seed.
+    screen instead of uniform draws.  The screen's evaluations come out of
+    the budget, and the starts share what is left, at least one evaluation
+    each: a screen larger than the budget (13^3 = 2197 probes in a +-20 deg
+    box) overspends it.  The starts run in lock-step, so each round's
+    candidates are scored together, and ties between starts keep the
+    earliest start, so the reduction is deterministic for a fixed seed.
+    With race and at least _RACE_MIN_MAXFEV evaluations per start, beaten
+    starts retire early (see _RACE); a retired start's cost is above the
+    leader's, so it never wins.
     """
     starts = [np.zeros(box.size)]
     spent = 0
@@ -230,8 +259,11 @@ def _multistart(
         starts.extend(rng.uniform(-1.0, 1.0, (_N_STARTS - 1, box.size)) * box)
     maxfev = max((budget - spent) // len(starts), 1)
     searches = [search(x0, options=_nm_options(x0, box, maxfev, 0.35)) for x0 in starts]
+    checkpoints = ()
+    if race and maxfev >= _RACE_MIN_MAXFEV:
+        checkpoints = tuple((int(part * maxfev), margin) for part, margin in _RACE)
     best_x, best_f = starts[0], math.inf
-    for x, f in lockstep(searches, costs):
+    for x, f in lockstep(searches, costs, checkpoints):
         if f < best_f:
             best_x, best_f = x, f
     return best_x, best_f
@@ -563,10 +595,12 @@ def estimate_multiframe(
     from the two camera edges.  With loop_weight == 0 the three pairwise
     solutions are returned untouched.
 
-    When stage.final, the joint polish stops once its simplex is within
-    _FINAL_XATOL = 1e-5 (rad, m) of its best vertex, about 1/400 of a
-    pixel, if that comes before stage.budget evaluations; the polish of an
-    earlier stage and every edge search keep _XATOL = 1e-7 (see
+    When stage.final, each edge's multistart retires the starts that trail
+    the leader by 50% at half their budget or by 25% at three quarters, and
+    the joint polish stops once its simplex is within _FINAL_XATOL = 1e-5
+    (rad, m) of its best vertex, about 1/400 of a pixel, if that comes
+    before stage.budget evaluations; an earlier stage runs every start to
+    its budget, and every search there keeps _XATOL = 1e-7 (see
     ``EstimatorStage``).
 
     A camera edge's target is built once per (depth image, camera, pull-back,
@@ -581,7 +615,7 @@ def estimate_multiframe(
 
     xs: dict[str, np.ndarray] = {}
     for problem in problems:
-        x, f = _multistart(problem.costs, problem.box, stage.budget, rng)
+        x, f = _multistart(problem.costs, problem.box, stage.budget, rng, race=stage.final)
         if not math.isfinite(f):
             raise NoOverlapError(f"edge {problem.name}: no raster overlap")
         xs[problem.name] = x

@@ -21,10 +21,16 @@ candidates.  ``lockstep`` advances several searches together and scores each
 round's candidates with one call, which lets a vectorized objective project
 them as one batch; ``minimize`` is ``lockstep`` of one search.  A search
 sees the same candidates and ends with the same bits either way.
+``lockstep`` can also race its searches: at given rounds it retires every
+search that trails the best cost reached so far by more than a margin.  A
+retired search is sent no further cost and reports its best candidate so
+far; every other search still sees the same candidates and ends with the
+same bits.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Generator, Sequence
 
 import numpy as np
@@ -144,7 +150,9 @@ def minimize(costs: Costs, x0: np.ndarray, *, options: dict) -> tuple[np.ndarray
     return lockstep([search(x0, options=options)], costs)[0]
 
 
-def lockstep(searches: Sequence[Search], costs: Costs) -> list[tuple[np.ndarray, float]]:
+def lockstep(
+    searches: Sequence[Search], costs: Costs, race: Sequence[tuple[int, float]] = ()
+) -> list[tuple[np.ndarray, float]]:
     """Advance every search by one candidate per round; return their ``(x, f)``.
 
     Each round hands the pending candidates of the searches still running,
@@ -152,9 +160,22 @@ def lockstep(searches: Sequence[Search], costs: Costs) -> list[tuple[np.ndarray,
     costs in the same order.  A search that finishes drops out of later
     rounds; the others run on unchanged, so each result equals what
     ``minimize`` with the same objective returns.
+
+    ``race`` holds ``(rounds, margin)`` checkpoints.  After round ``rounds``
+    (every running search has then been sent ``rounds`` costs) the leader is
+    the lowest cost any search has been sent, or has returned if it already
+    finished; every running search whose lowest cost so far is above
+    ``leader + (margin - 1) * |leader|`` (``margin`` times a positive
+    leader) is closed and reports that lowest cost and its candidate (its
+    first candidate and +inf if no cost was finite).  A search at +inf is
+    retired against a finite leader; with no finite leader none retires.
+    The searches not retired still end with ``minimize``'s bits.
     """
     results: list = [None] * len(searches)
     pending: dict[int, np.ndarray] = {}
+    # the lowest cost each search has been sent, and its candidate
+    best_f = [math.inf] * len(searches)
+    best_x: list = [None] * len(searches)
 
     def advance(i: int, cost: float | None) -> None:
         # sending None starts a generator, as next() does
@@ -164,10 +185,30 @@ def lockstep(searches: Sequence[Search], costs: Costs) -> list[tuple[np.ndarray,
             pending.pop(i, None)
             results[i] = stop.value
 
+    def retire(margin: float) -> None:
+        leader = math.inf
+        for i, result in enumerate(results):
+            f = best_f[i] if result is None else result[1]
+            if f < leader:  # NaN never leads
+                leader = f
+        bar = leader + (margin - 1.0) * abs(leader)
+        for i in [i for i in pending if best_f[i] > bar]:
+            searches[i].close()
+            del pending[i]
+            results[i] = best_x[i], best_f[i]
+
     for i in range(len(searches)):
         advance(i, None)
+        best_x[i] = pending.get(i)
+    margins = dict(race)
+    rounds = 0
     while pending:
         order = list(pending)
         for i, cost in zip(order, costs([pending[i] for i in order]), strict=True):
+            if cost < best_f[i]:
+                best_f[i], best_x[i] = cost, pending[i]
             advance(i, cost)
+        rounds += 1
+        if rounds in margins:
+            retire(margins[rounds])
     return results

@@ -76,9 +76,10 @@ def refine_multiframe(
     the left-to-right composition of all per-stage corrections.
 
     Every stage but the last reaches the estimator as
-    ``replace(stage, final=False)``, so only the last stage's joint polish
-    stops early (see ``EstimatorStage``): an earlier stage's output
-    re-perturbs the frames, and moving it re-rolls the stages after it.
+    ``replace(stage, final=False)``, so only the last stage races its
+    multistarts' starts and stops its joint polish at 1e-5 (see
+    ``EstimatorStage``): an earlier stage's output re-perturbs the frames,
+    and moving it re-rolls the stages after it.
     """
     if not stages:
         raise ValueError("refinement needs at least one stage")

@@ -1,5 +1,6 @@
 """The in-repo Nelder-Mead against scipy's, lock-step against one at a time,
-and the package's import graph.
+a race of starts against a replay of its rule, and the package's import
+graph.
 
 scipy is only the reference here: ``sensorcal.neldermead.minimize`` must
 return the same bits for ``x`` and ``f`` and hand the objective the same
@@ -18,10 +19,19 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sensorcal
 from sensorcal.data import PointCloud
-from sensorcal.estimate import AlignmentCostConfig, _initial_simplex, alignment_cost
+from sensorcal.estimate import (
+    _RACE,
+    _RACE_MIN_MAXFEV,
+    AlignmentCostConfig,
+    _initial_simplex,
+    _multistart,
+    alignment_cost,
+)
 from sensorcal.neldermead import lockstep, minimize, search
 from sensorcal.projection import ProjectionConfig, project_equirect
 from sensorcal.transform import from_euler
@@ -228,11 +238,45 @@ def _recording(gen, calls):
         return stop.value
 
 
-def same_in_lockstep(fun, runs, *, fatol=1e-12, xatol=1e-7):
+def _lowest(values):
+    """The lowest value and its index, by ``<`` from +inf (NaN never wins)."""
+    low, at = math.inf, None
+    for k, v in enumerate(values):
+        if v < low:
+            low, at = v, k
+    return low, at
+
+
+def expected_retirements(fun, alone, race):
+    """Replay the race rule on the searches run alone: the round and the bar
+    at which each retired search retires, and every search's costs."""
+    costs = [[fun(np.frombuffer(c)) for c in calls] for calls, _, _ in alone]
+    retired = {}
+    for k, margin in sorted(dict(race).items()):
+        # a search finished by round k counts with its f, a running one with
+        # its lowest cost so far, a retired one with the cost it reported
+        standing = [
+            _lowest(c[: retired.get(i, (k,))[0]])[0] if len(c) > k or i in retired else f
+            for i, (c, (_, _, f)) in enumerate(zip(costs, alone))
+        ]
+        leader = _lowest(standing)[0]
+        bar = leader + (margin - 1.0) * abs(leader)
+        for i, c in enumerate(costs):
+            if i not in retired and len(c) > k and standing[i] > bar:
+                retired[i] = k, bar
+    return retired, costs
+
+
+def same_in_lockstep(fun, runs, *, fatol=1e-12, xatol=1e-7, race=()):
     """Run searches from runs = [(simplex, maxfev), ...] one at a time with
-    minimize and together with lockstep; assert that each search sees the
-    same candidates in the same order and returns the same bits, and that
-    every round scores one candidate of each search still running."""
+    minimize and together with lockstep(..., race); assert that every search
+    the race does not retire sees the same candidates in the same order and
+    returns the same bits, that every round scores one candidate of each
+    search still running, and that the searches retired are the ones the
+    rule names: each was sent exactly the candidates it saw alone up to its
+    checkpoint, and reports its lowest cost so far, which is above the bar.
+    Returns the number of candidates each search had scored, the retired
+    searches and every search's reported f."""
     options = [
         {"maxfev": maxfev, "fatol": fatol, "xatol": xatol, "initial_simplex": simplex}
         for simplex, maxfev in runs
@@ -255,14 +299,27 @@ def same_in_lockstep(fun, runs, *, fatol=1e-12, xatol=1e-7):
         _recording(search(opts["initial_simplex"][0].copy(), options=dict(opts)), calls)
         for opts, calls in zip(options, together)
     ]
-    results = lockstep(searches, costs)
-    for (calls, x, f), seen, (x_lock, f_lock) in zip(alone, together, results):
-        assert seen == calls
-        assert x_lock.tobytes() == x.tobytes()
-        assert np.float64(f_lock).tobytes() == np.float64(f).tobytes()
-    lengths = [len(calls) for calls, _, _ in alone]
+    results = lockstep(searches, costs, race)
+    retired, scored = expected_retirements(fun, alone, race)
+    survivors = [f for i, (_, f) in enumerate(results) if i not in retired]
+    for i, ((calls, x, f), seen, (x_lock, f_lock)) in enumerate(zip(alone, together, results)):
+        if i not in retired:
+            assert seen == calls
+            assert x_lock.tobytes() == x.tobytes()
+            assert np.float64(f_lock).tobytes() == np.float64(f).tobytes()
+            continue
+        # scored up to its checkpoint; the candidate it yielded next was
+        # never scored, and the search was closed
+        k, bar = retired[i]
+        assert seen == calls[: k + 1] and len(calls) > k
+        del seen[k:]
+        low, at = _lowest(scored[i][:k])
+        assert x_lock.tobytes() == seen[at or 0]
+        assert np.float64(f_lock).tobytes() == np.float64(low).tobytes()
+        assert f_lock > bar and f_lock > _lowest(survivors)[0]  # it can never win
+    lengths = [len(seen) for seen in together]
     assert rounds == [sum(n > k for n in lengths) for k in range(max(lengths))]
-    return lengths
+    return lengths, retired, [f for _, f in results]
 
 
 @pytest.mark.parametrize("n", [6, 18])
@@ -272,7 +329,7 @@ def test_lockstep_equals_minimize_for_every_start(n):
     fun = _bumpy(n, n)
     budgets = [1, n + 1, n + 2, 2 * n + 3, 40, 200 * n // 6, 1, 7]
     runs = [(_box_simplex(n, 20 + k), maxfev) for k, maxfev in enumerate(budgets)]
-    lengths = same_in_lockstep(fun, runs)
+    lengths, *_ = same_in_lockstep(fun, runs, race=())
     assert lengths == budgets
 
 
@@ -305,7 +362,7 @@ def test_lockstep_tied_costs_and_all_inf(n):
 def test_lockstep_searches_that_stop_on_tolerance():
     # each search stops on xatol/fatol at its own round, long before maxfev
     runs = [(_box_simplex(6, 30 + k), 100_000) for k in range(5)]
-    lengths = same_in_lockstep(_bumpy(6, 6), runs, fatol=1e-4, xatol=1e-4)
+    lengths, *_ = same_in_lockstep(_bumpy(6, 6), runs, fatol=1e-4, xatol=1e-4)
     assert max(lengths) < 100_000 and len(set(lengths)) > 1
 
 
@@ -330,6 +387,125 @@ def test_lockstep_of_no_searches_and_of_searches_without_budget():
     options = {"maxfev": 0, "fatol": 1e-6, "xatol": 1e-7, "initial_simplex": _box_simplex(6, 1)}
     ((x, f),) = lockstep([search(np.zeros(6), options=options)], lambda xs: pytest.fail("no budget"))
     assert x.tobytes() == _box_simplex(6, 1)[0].tobytes() and f == math.inf
+
+
+# --- racing the searches ----------------------------------------------------------
+
+
+def _quantised(n, seed, quantum, offset):
+    """_bumpy plus offset, floored to a multiple of quantum as a raster cost
+    steps by pixels; an offset above 0.05 n keeps it positive."""
+    bowl = _bumpy(n, seed)
+    if quantum == 0.0:
+        return lambda x: bowl(x) + offset
+    return lambda x: quantum * math.floor((bowl(x) + offset) / quantum)
+
+
+def _field(n, count, seed, maxfev):
+    return [(_box_simplex(n, seed + k), maxfev) for k in range(count)]
+
+
+def _default_race(maxfev):
+    return [(int(part * maxfev), margin) for part, margin in _RACE]
+
+
+@given(
+    n=st.sampled_from([6, 18]),
+    seed=st.integers(0, 1000),
+    count=st.integers(1, 8),
+    maxfev=st.integers(1, 240),
+    quantum=st.sampled_from([0.0, 1e-3, 0.05]),
+    offset=st.sampled_from([-5.0, 0.0, 1.0, 6.0]),
+    tol=st.sampled_from([1e-7, 1e-3]),
+    race=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(1.0, 1.5)), max_size=3),
+)
+@settings(max_examples=40)
+def test_a_race_retires_exactly_the_starts_its_rule_names(
+    n, seed, count, maxfev, quantum, offset, tol, race
+):
+    # costs that are negative, mixed, zero-led or positive, with and without
+    # starts that stop on xatol/fatol, against any checkpoint schedule
+    fun = _quantised(n, seed, quantum, offset)
+    checkpoints = [(int(part * maxfev), margin) for part, margin in race]
+    fatol = 1e-12 if tol < 1e-6 else tol
+    same_in_lockstep(fun, _field(n, count, seed, maxfev), fatol=fatol, xatol=tol, race=checkpoints)
+
+
+@pytest.mark.parametrize("n", [6, 18])
+def test_the_default_race_retires_some_starts_and_keeps_the_rest_exact(n):
+    maxfev = 200 * n // 6
+    fun = _quantised(n, 7, 1e-3, 0.05 * n + 0.01)
+    runs = _field(n, 8, 40, maxfev)
+    lengths, retired, _ = same_in_lockstep(fun, runs, race=_default_race(maxfev))
+    assert 0 < len(retired) < 8
+    assert {lengths[i] for i in retired} <= {maxfev // 2, maxfev * 3 // 4}
+
+
+@pytest.mark.parametrize("n", [6, 18])
+def test_a_race_retires_starts_at_inf_unless_every_start_is(n):
+    # the last four starts sit where the cost is +inf everywhere their
+    # simplex can reach, so they retire at the first checkpoint
+    bowl = _quantised(n, 3, 1e-3, 0.05 * n + 0.01)
+    box = np.array([0.3] * (n // 2) + [1.0] * (n - n // 2))
+    far = np.full(n, 0.8)
+    runs = _field(n, 4, 50, 200)
+    runs += [(_initial_simplex(far + 0.01 * k, box, 0.35), 200) for k in range(4)]
+    fun = lambda x: bowl(x) if x[0] < 0.5 else math.inf  # noqa: E731
+    _, retired, _ = same_in_lockstep(fun, runs, race=_default_race(200))
+    assert {i for i, (k, _) in retired.items() if k == 100} >= {4, 5, 6, 7}
+    with np.errstate(invalid="ignore"):
+        lengths, retired, _ = same_in_lockstep(lambda x: math.inf, runs, race=_default_race(200))
+    assert not retired and lengths == [200] * 8
+
+
+@pytest.mark.parametrize("n", [6, 18])
+def test_a_race_keeps_starts_tied_with_the_leader(n):
+    # coarse steps: several starts reach the leader's cost exactly, and a
+    # tie is not a trail, so those run on
+    fun = _quantised(n, 5, 0.5, 0.05 * n + 0.01)
+    _, retired, fs = same_in_lockstep(fun, _field(n, 8, 60, 200), race=_default_race(200))
+    tied = {i for i, f in enumerate(fs) if f == min(fs)}
+    assert retired and len(tied) > 1 and not tied & retired.keys()
+
+
+def test_a_race_on_negative_costs_keeps_its_leader():
+    # a margin scales the leader's distance from zero, so a negative leader
+    # is not above its own bar
+    fun = _quantised(6, 4, 1e-3, -0.1)
+    _, retired, fs = same_in_lockstep(fun, _field(6, 8, 70, 200), race=[(100, 1.05), (150, 1.02)])
+    assert max(fs) < 0 and retired and fs.index(min(fs)) not in retired
+
+
+def test_a_race_counts_a_start_that_stopped_with_its_final_cost():
+    # xatol/fatol stop some starts before the checkpoint; the rest race
+    # against the best of them
+    fun = _quantised(6, 6, 0.0, 0.31)
+    runs = _field(6, 6, 30, 100_000)
+    alone, *_ = same_in_lockstep(fun, runs, fatol=1e-4, xatol=1e-4)
+    k = sorted(alone)[2]
+    _, retired, fs = same_in_lockstep(fun, runs, fatol=1e-4, xatol=1e-4, race=[(k, 1.0)])
+    # the leader is a start that had stopped, and it retired the others
+    assert alone[fs.index(min(fs))] <= k < max(alone) and retired
+
+
+def test_multistarts_below_the_race_floor_retire_nothing():
+    # 8 x 199 evaluations leave 199 per start, one short of _RACE_MIN_MAXFEV
+    bowl = _quantised(6, 9, 1e-3, 0.31)
+    box = np.array([0.02] * 3 + [0.2] * 3)
+    runs = {}
+    for budget in (8 * (_RACE_MIN_MAXFEV - 1), 8 * _RACE_MIN_MAXFEV):
+        for race in (False, True):
+            calls = []
+
+            def costs(xs):
+                calls.extend(xs)
+                return [bowl(x) for x in xs]
+
+            x, f = _multistart(costs, box, budget, np.random.default_rng(4), race=race)
+            runs[budget, race] = x.tobytes(), f, len(calls)
+    below, at = 8 * (_RACE_MIN_MAXFEV - 1), 8 * _RACE_MIN_MAXFEV
+    assert runs[below, True] == runs[below, False]
+    assert runs[at, True][2] < runs[at, False][2] == at
 
 
 def test_rejects_a_simplex_of_the_wrong_shape():
