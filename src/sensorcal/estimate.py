@@ -15,7 +15,7 @@ import weakref
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import islice
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -81,11 +81,10 @@ class EstimatorStage:
     - its multistarts race their starts and stop the clearly beaten ones
       early (see _RACE), which keeps the winner and its bits unless the
       race retired it;
-    - its joint polish stops once its simplex is within _FINAL_XATOL = 1e-5
-      (rad, m) of its best vertex: about 1/400 of a pixel of the 1536-wide
-      raster, and about 1/60 of the smallest median error a benchmark
-      workload reports (rigid-dense radar_cam, 0.036 deg).  Earlier stages
-      keep _XATOL.
+    - its joint polish may stop once its simplex is within _FINAL_XATOL =
+      1e-4 (rad, m) of its best vertex, about 1/40 of a pixel of the
+      1536-wide raster; what stops it is then its vertices' costs agreeing
+      to _FATOL = 1e-5.  Earlier stages keep _XATOL.
     """
 
     bounds: MiscalBounds
@@ -182,11 +181,15 @@ def _initial_simplex(x0: np.ndarray, box: np.ndarray, step_fraction: float) -> n
     return simplex
 
 
-# Nelder-Mead's stop tolerances, in cost and in coordinates (rad, m).  The
-# final stage's joint polish stops at _FINAL_XATOL, about 1/400 of a pixel
-# (2 pi / 1536 = 4.1e-3 rad) and 1/60 of 0.036 deg (6.3e-4 rad).
+# Nelder-Mead's stop tolerances, in cost and in coordinates (rad, m); a
+# search stops when both hold.  The final stage's joint polish takes
+# _FINAL_XATOL, about 1/40 of a pixel (2 pi / 1536 = 4.1e-3 rad), and then
+# stops when its 19 costs agree to _FATOL: 3e-4 and 1e-3 stop it at the
+# same evaluation.  _FATOL stays at 1e-5, because 1e-4 moved an edge of
+# `test_the_final_polish_stops_early_within_a_hundredth_of_a_degree` by
+# 1.49 mm.
 _FATOL, _XATOL = 1e-5, 1e-7
-_FINAL_XATOL = 1e-5
+_FINAL_XATOL = 1e-4
 
 
 def _nm_options(
@@ -430,7 +433,9 @@ _BATCH_POINTS = 16384
 
 
 def _scores(
-    problems: Sequence[_EdgeProblem], candidates: Iterable[Sequence[RigidTransform]]
+    problems: Sequence[_EdgeProblem],
+    candidates: Iterable[Sequence[RigidTransform]],
+    memo: dict[tuple[int, bytes], float] | None = None,
 ) -> list[float]:
     """Cost of each candidate, one residual per problem: the sum of each
     problem's mean ``alignment_cost`` over its frames.
@@ -439,6 +444,12 @@ def _scores(
     which is then the candidate's cost.  Candidates are drawn and projected
     in batches of about _BATCH_POINTS points (at least one candidate), with
     one ``equirect_range_pixels_batch`` per raster size per batch.
+
+    memo, when given, maps (problem index, residual bytes) to the problem's
+    mean cost at that residual, and gains each pair scored here.  A pair it
+    holds when its batch is drawn is not projected, and one it holds at its
+    turn is not scored: the cost depends only on the residual's bits, so the
+    results keep every bit.
     """
     per_batch = max(_BATCH_POINTS // max(sum(p._points for p in problems), 1), 1)
     # per raster size, the (problem index, points) of each source it projects
@@ -447,31 +458,62 @@ def _scores(
         for source in problem.sources:
             rasters.setdefault(problem.cfg.projection, []).append((i, source.xyz))
 
-    def score(residuals: Sequence[RigidTransform], pixels: Iterator) -> float:
+    def score(
+        residuals: Sequence[RigidTransform],
+        pairs: Sequence[tuple[int, bytes] | None],
+        pixels: dict[int, list],
+    ) -> float:
         total = 0.0
-        for problem, residual in zip(problems, residuals):
-            cost = 0.0
-            for source, target, row in zip(problem.sources, problem.targets, problem.first_rows):
-                c = alignment_cost(
-                    source, residual, target, problem.cfg, first_row=row, projected=next(pixels)
-                )
-                if not math.isfinite(c):
-                    return math.inf
-                cost += c
-            total += cost / len(problem.sources)
+        for i, (problem, residual, pair) in enumerate(zip(problems, residuals, pairs)):
+            mean = None if pair is None else memo.get(pair)
+            if mean is None:
+                cost = 0.0
+                for source, target, row, projected in zip(
+                    problem.sources, problem.targets, problem.first_rows, pixels[i]
+                ):
+                    c = alignment_cost(
+                        source, residual, target, problem.cfg, first_row=row, projected=projected
+                    )
+                    if not math.isfinite(c):
+                        cost = math.inf
+                        break
+                    cost += c
+                mean = cost / len(problem.sources)
+                if pair is not None:
+                    memo[pair] = mean
+            if not math.isfinite(mean):
+                return math.inf
+            total += mean
         return total
 
     out = []
     candidates = iter(candidates)
     while batch := list(islice(candidates, per_batch)):
+        # per candidate, its (problem index, residual bytes) pairs, None
+        # without a memo, and the problems whose residual is projected
+        pairs = [
+            [None] * len(problems)
+            if memo is None
+            else [(i, r.q.tobytes() + r.t.tobytes()) for i, r in enumerate(residuals)]
+            for residuals in batch
+        ]
+        todo = [[i for i, pair in enumerate(ps) if pair is None or pair not in memo] for ps in pairs]
         projected = {}
         for proj, sources in rasters.items():
-            segments = [(residuals[i], xyz) for residuals in batch for i, xyz in sources]
+            segments = [
+                (residuals[i], xyz)
+                for residuals, wanted in zip(batch, todo)
+                for i, xyz in sources
+                if i in wanted
+            ]
             projected[proj] = iter(equirect_range_pixels_batch(segments, proj))
-        # the results each source's projection comes from, in the order score compares them
-        order = [projected[p.cfg.projection] for p in problems for _ in p.sources]
-        for residuals in batch:
-            out.append(score(residuals, iter([next(results) for results in order])))
+        for residuals, ps, wanted in zip(batch, pairs, todo):
+            # the candidate's projections per problem, one per frame
+            pixels = {
+                i: [next(projected[problems[i].cfg.projection]) for _ in problems[i].sources]
+                for i in wanted
+            }
+            out.append(score(residuals, ps, pixels))
     return out
 
 
@@ -597,11 +639,15 @@ def estimate_multiframe(
 
     When stage.final, each edge's multistart retires the starts that trail
     the leader by 50% at half their budget or by 25% at three quarters, and
-    the joint polish stops once its simplex is within _FINAL_XATOL = 1e-5
-    (rad, m) of its best vertex, about 1/400 of a pixel, if that comes
-    before stage.budget evaluations; an earlier stage runs every start to
-    its budget, and every search there keeps _XATOL = 1e-7 (see
-    ``EstimatorStage``).
+    the joint polish stops once its simplex is within _FINAL_XATOL = 1e-4
+    (rad, m) of its best vertex, about 1/40 of a pixel, and its costs agree
+    to _FATOL = 1e-5, if that comes before stage.budget evaluations; an
+    earlier stage runs every start to its budget, and every search there
+    keeps _XATOL = 1e-7 (see ``EstimatorStage``).
+
+    The seeds and the polish remember each edge's mean alignment cost by
+    the bits of its residual, so a candidate that moves one edge projects
+    and scores only that edge; the results keep every bit.
 
     A camera edge's target is built once per (depth image, camera, pull-back,
     raster) and kept for the life of the depth image, so the stages and runs
@@ -625,11 +671,14 @@ def estimate_multiframe(
         return preds
 
     identity = RigidTransform.identity()
+    # each edge's mean alignment cost by residual, for the seeds and the
+    # polish: a vertex that moves one edge re-scores only that edge
+    memo: dict[tuple[int, bytes], float] = {}
 
     def joint_costs(xs: Sequence[np.ndarray]) -> list[float]:
         # one candidate per edge serves both its alignment cost and the loop
         candidates = [[from_euler(x[6 * i : 6 * i + 6]) for i in range(3)] for x in xs]
-        out = _scores(problems, candidates)
+        out = _scores(problems, candidates, memo)
         for k, residuals in enumerate(candidates):
             if math.isfinite(out[k]):
                 # problems are in PAIR_NAMES order, as PredictionSet's fields

@@ -73,11 +73,12 @@ def refine_multiframe(
     After every stage but the last, every frame is re-transformed by the
     inverse of that stage's implied sensor corrections, so the remaining
     miscalibration fits the next (tighter) stage box.  The final edges equal
-    the left-to-right composition of all per-stage corrections.
+    the left-to-right composition of all per-stage corrections; a single
+    stage's predictions are returned as they are, bit for bit.
 
     Every stage but the last reaches the estimator as
     ``replace(stage, final=False)``, so only the last stage races its
-    multistarts' starts and stops its joint polish at 1e-5 (see
+    multistarts' starts and stops its joint polish at xatol 1e-4 (see
     ``EstimatorStage``): an earlier stage's output re-perturbs the frames,
     and moving it re-rolls the stages after it.
     """
@@ -108,8 +109,12 @@ def refine_multiframe(
             lidar_before = compose(lidar_before, m_lidar)
             radar_before = compose(radar_before, m_radar)
 
+    final = stage_predictions[-1]
+    if len(stages) > 1:
+        # moved() renormalises q even when both corrections are identities
+        final = final.moved(lidar_before, radar_before)
     return RefinementResult(
-        final=stage_predictions[-1].moved(lidar_before, radar_before),
+        final=final,
         stage_predictions=tuple(stage_predictions),
         corrections=tuple(corrections),
     )

@@ -79,7 +79,7 @@ SHA256 = {
     "pairwise/predicted_calib.txt":
         "ab094bb708ee1f33f73810379d2ad62bd7b925389edb278a5f54f9736fb24e62",
     "pairwise/predictions.csv":
-        "02182fb32515f7ba5469e652b2d8ed78d3eda2b5049fdd67650d9444c6db70b0",
+        "ab777bb4240761e45ab9870aabc14333900ee621add3faa0b24585e7d4d407ea",
     "pairwise/summary.csv":
         "e2e4623077bc7e7fa638e1a5515755281094c1dc255e7e0144a03e270e88f2fb",
     "pairwise/summary.txt":
@@ -103,17 +103,17 @@ SHA256 = {
     "render/frame_000_predicted.pgm":
         "ba06608ff9db8ba0753e089a2d2f7d6f7d16904d05d675559727fd9ad9562040",
     "default_budget/errors.csv":
-        "a4615d05f28c4bda76931c687efdbe74e247155b8af762236358e6f925140e8f",
+        "d47894ad2ce729c06a7aac571ad6074d33b1693055c81dd614856bcda15920c0",
     "default_budget/manifest.json":
         "d1a6173f0d737214bd30bdfbc047770ade150c02b802f18f4f309006323eb61d",
     "default_budget/predicted_calib.txt":
-        "a13e87b41aa5541fc699496d1e16aad4a8b0ca40a6ccfb3cf852b1f004d4020f",
+        "bc118e2321c66dfd3adf4f5c5dfd0c0f294c9bcf7af2eee7fabd20fb88477fd2",
     "default_budget/predictions.csv":
-        "33c031a072bb1ef7c4cd41fac15c80104ded54c133cc6ba78c718fe59f448d3f",
+        "18328039ac35f3a2bf15ac4d00f59e31e11b6535bfd76398de1fa62882947a6f",
     "default_budget/summary.csv":
-        "71d0c5985ada207611a47fb1d975c5f9b1b2416b46dcdd5b010346d223a9c309",
+        "abfc15781794282943bbb091706288eb63cfacf73fe6ae7b3cb5e1e8206b70e6",
     "default_budget/summary.txt":
-        "0f4b18134bbe1ef153b6609ce4c3bfa5a6ee80bbddafd949b674cbbee32bbe13",
+        "bf3e669ceeb1f8b22b5415a03735589d4ef82c437c265e3b0f64d729ac924995",
     "aggregated/errors.csv":
         "216688f929259db9cbfdbd3ae55b23adb037369f8cbe774aa37ea64169a9a2c6",
     "aggregated/manifest.json":
@@ -145,7 +145,7 @@ SHA256 = {
     "rigid/predicted_calib.txt":
         "3078fb58b143a995f06cacbcb474e63b7c59d460f11cb0773a8a02f856b09106",
     "rigid/predictions.csv":
-        "b4b46278ad423c79b16f267e98926090d1289c3f1ae86b20a4bbd143bcd3d7b9",
+        "6289ac49b83f69330ba1b6fe99dde1c846a284890f7876e472f6de60c26ab6c3",
     "rigid/summary.csv":
         "84ffd77ae482de96aaa30a03fd848ae07015b04b7c44d9bbdbb9b4c776501508",
     "rigid/summary.txt":
@@ -182,9 +182,33 @@ def run_chain(root: Path) -> dict[str, str]:
     }
 
 
+def hash_changes(recorded: dict[str, str], new: dict[str, str]) -> list[str]:
+    """One line per file added, missing or changed, with both hashes."""
+    changes = []
+    for path in sorted(recorded.keys() | new.keys()):
+        old, now = recorded.get(path), new.get(path)
+        if old != now:
+            kind = "added" if old is None else "missing" if now is None else "changed"
+            changes.append(f"{kind} {path}: recorded {old}, new {now}")
+    return changes
+
+
+def test_hash_changes_name_every_file_and_both_hashes():
+    recorded = {"a": "1", "b": "2", "c": "3"}
+    assert hash_changes(recorded, dict(recorded)) == []
+    assert hash_changes(recorded, {"b": "2", "c": "4", "d": "5"}) == [
+        "missing a: recorded 1, new None",
+        "changed c: recorded 3, new 4",
+        "added d: recorded None, new 5",
+    ]
+
+
 def test_fixed_seed_outputs_are_byte_identical(tmp_path, monkeypatch):
     here = {"numpy": np.__version__, "machine": platform.machine()}
     if here != RECORDED_WITH:
         pytest.skip(f"hashes recorded with {RECORDED_WITH}, running with {here}")
     monkeypatch.chdir(tmp_path)
-    assert run_chain(tmp_path) == SHA256
+    # pytest.fail prints its message whole, where a dict comparison is cut short
+    changes = hash_changes(SHA256, run_chain(tmp_path))
+    if changes:
+        pytest.fail("fixed-seed outputs moved:\n" + "\n".join(changes), pytrace=False)

@@ -74,6 +74,20 @@ def test_single_stage_equals_plain_estimate(perturbed):
     assert np.allclose(refined.cam_lidar.t, direct.cam_lidar.t, atol=1e-12)
 
 
+def test_a_single_stage_returns_its_own_edges_bit_for_bit(perturbed):
+    """One stage re-perturbs no frame, so its edges are final as they are:
+    moving them by identity corrections would renormalise each quaternion,
+    which changes a last bit in a few percent of random sets."""
+    rng = np.random.default_rng(72)
+    stage = EstimatorStage(bounds=SMALL)
+    for _ in range(2000):
+        edges = PredictionSet(*(from_euler(rng.uniform(-3.3, 3.3, 6)) for _ in range(3)))
+        final = refine_multiframe([perturbed], lambda frames, stage: edges, [stage]).final
+        for name, edge in edges.present():
+            assert final.get(name).q.tobytes() == edge.q.tobytes()
+            assert final.get(name).t.tobytes() == edge.t.tobytes()
+
+
 def test_oracle_fixed_point(perturbed):
     stages = stages_from_preset(PRESETS["refine"])
     detail = refine_multiframe([perturbed], oracle_estimator, stages)
