@@ -221,7 +221,8 @@ def _calibrate_run(frames: list[FrameSet], task: dict) -> tuple[int, list[dict]]
     """One evaluation run: perturb, refine each group of frames, optionally aggregate.
 
     Groups hold --multiframe frames (1 by default) that are estimated
-    together; more than one assumes a rigid scenario.  Module-level and
+    together; more than one assumes a rigid scenario, and the group size
+    divides the frame count (``cmd_calibrate`` checks both).  Module-level and
     driven by a plain dict so runs can execute in worker processes; rows
     come back as dicts of primitives.
     """
@@ -333,6 +334,12 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
         return 1
     # a missing or unreadable frame fails here, before --out is created
     frames, _ = _load_frames(Path(args.frames))
+    if len(frames) % args.multiframe:
+        print(
+            f"error: --multiframe {args.multiframe} does not divide the {len(frames)} frame(s)",
+            file=sys.stderr,
+        )
+        return 1
     task_base = {
         "frames_dir": args.frames,
         "preset": preset_name,
@@ -480,7 +487,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--frames", type=int, default=1)
-    p.add_argument("--lidar-density", type=int, default=4000)
+    p.add_argument(
+        "--lidar-density", type=int, default=4000, metavar="N",
+        help="lidar rays per frame, cast as 24 elevation rows of max(N // 24, 1) azimuth "
+        "columns: 0 and 1 cast 24 rays, 4000 casts 3,984",
+    )
     p.add_argument("--radar-density", type=int, default=400)
     p.add_argument("--lidar-noise", type=float, default=0.0)
     p.add_argument("--radar-noise", type=float, default=0.0)

@@ -24,15 +24,7 @@ from .errors import (
     SizeMismatchError,
 )
 from .loss import PAIR_NAMES, PredictionSet
-from .projection import (
-    ProjectionConfig,
-    _merge_nearest,
-    _range_image,
-    _row_blocks,
-    pinhole_range_pixels,
-    pinhole_rays,
-    sphere_dirs,
-)
+from .projection import ProjectionConfig, _ranges, _row_blocks, pinhole_rays, sphere_dirs
 from .transform import RigidTransform, compose, invert
 
 __all__ = [
@@ -252,16 +244,36 @@ def default_sensor_poses() -> dict[str, RigidTransform]:
     }
 
 
+def _sphere_margin(radius: float) -> float:
+    """How far from a bounding sphere's centre a ray may pass and still hit.
+
+    The 1e-3 and 1e-6 cover rounding and the 1e-12 direction guard of the
+    slab test (a ray grazing a box corner can hit by rounding while its
+    computed distance exceeds the radius).
+    """
+    return radius * (1.0 + 1e-3) + 1e-6
+
+
+def _near_vertical(dirs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Mask of the unit rays whose horizontal part dx**2 + dy**2 is below 1e-10.
+
+    The 1e-12 guard on a cylinder's quadratic makes its roots non-geometric
+    for such rays, so no bounding-sphere test may drop them at a cylinder.
+    """
+    a = np.multiply(dirs[:, 0], dirs[:, 0], out=out)
+    a += dirs[:, 1] * dirs[:, 1]
+    return a < 1e-10
+
+
 def _rays_near(origin: np.ndarray, dirs: np.ndarray, prim: Primitive) -> np.ndarray | None:
     """Indices of the rays that can hit prim, or None to test every ray.
 
-    A ray is kept when its line passes within radius*(1 + 1e-3) + 1e-6 of
-    the centre of prim's bounding sphere.  The margin covers rounding and
-    the 1e-12 direction guard of the slab test, so every dropped ray is one
-    that prim.intersect maps to inf.  Directions are unit vectors.  Culling
-    only pays when the origin sits well outside the sphere, so it is skipped
-    within twice the radius.  The quadratic of a cylinder is not geometric
-    for rays whose guarded horizontal part is tiny; those are always kept.
+    A ray is kept when its line passes within ``_sphere_margin`` of the
+    centre of prim's bounding sphere, so every dropped ray is one that
+    prim.intersect maps to inf.  Directions are unit vectors.  Culling only
+    pays when the origin sits well outside the sphere, so it is skipped
+    within twice the radius.  Near-vertical rays at a cylinder are always
+    kept.
     """
     if prim.bounding_sphere is None:
         return None
@@ -270,7 +282,7 @@ def _rays_near(origin: np.ndarray, dirs: np.ndarray, prim: Primitive) -> np.ndar
     vv = vx * vx + vy * vy + vz * vz
     if vv <= 4.0 * radius * radius:
         return None
-    bound = radius * (1.0 + 1e-3) + 1e-6
+    bound = _sphere_margin(radius)
     # the squared distance of the line to the centre is vv - (d.v)**2
     proj = dirs[:, 0] * vx
     proj += dirs[:, 1] * vy
@@ -278,9 +290,7 @@ def _rays_near(origin: np.ndarray, dirs: np.ndarray, prim: Primitive) -> np.ndar
     proj *= proj
     keep = proj >= vv - bound * bound
     if isinstance(prim, Cylinder):
-        np.multiply(dirs[:, 0], dirs[:, 0], out=proj)
-        proj += dirs[:, 1] * dirs[:, 1]
-        keep |= proj < 1e-10
+        keep |= _near_vertical(dirs, out=proj)
     return np.flatnonzero(keep)
 
 
@@ -295,6 +305,11 @@ def _cast(
     Each primitive intersects only the rays ``_rays_near`` keeps; the
     intersections are row-wise, so a kept ray gets the bits it would get in
     a call over every ray, and a dropped one would have missed.
+
+    Hits merge with a strict ``<`` in the order of primitives, so leaving
+    out primitives that no ray hits within max_range keeps which rays hit
+    and their distances; the indices then count the primitives passed, as
+    in the camera render, which passes those in a block's frustum.
     """
     t_best = np.full(dirs.shape[0], np.inf)
     idx_best = np.full(dirs.shape[0], -1, dtype=np.int64)
@@ -342,22 +357,58 @@ def _cast_from(
     return t[hit], idx[hit], dirs_sensor[hit]
 
 
+def _frustum_normals(cfg: ProjectionConfig, row0: int, row1: int) -> np.ndarray:
+    """(4, 3) inward unit normals, in the camera frame, of the planes through
+    the camera centre and the first and last pixel-centre columns of image
+    rows [row0, row1) and their first and last pixel-centre rows.
+
+    Every camera ray of those rows lies on the inner side of all four.
+    """
+    x0, x1 = sorted(((np.array([0, cfg.width - 1]) + 0.5 - cfg.cx) / cfg.fx).tolist())
+    y0, y1 = sorted(((np.array([row0, row1 - 1]) + 0.5 - cfg.cy) / cfg.fy).tolist())
+    normals = np.array([[1.0, 0.0, -x0], [-1.0, 0.0, x1], [0.0, 1.0, -y0], [0.0, -1.0, y1]])
+    return normals / np.linalg.norm(normals, axis=1, keepdims=True)
+
+
 def _render_camera(spec: SceneSpec, pose: RigidTransform) -> np.ndarray:
     """Pinhole depth image of the scene from pose, one ray per pixel.
 
-    Rays are cast and projected one block of image rows at a time and the
-    blocks' nearest ranges merged, which gives the image that all rays at
-    once would: each ray's cast and projection are row-wise.
+    Rays are cast one block of image rows at a time (``_row_blocks``), and
+    each hit's float32 range is written into the pixel its ray was cast
+    through.  That is the image ``project_pinhole`` makes of the hits: a
+    pixel-centre ray re-projects to its own pixel, with z > 0, and with one
+    ray per pixel nearest-wins keeps every hit.
+
+    A block casts only against the primitives it can see: a bounding sphere,
+    inflated by ``_sphere_margin``, that lies wholly outside one of the
+    block's ``_frustum_normals`` planes holds no hit of its rays, so
+    dropping it leaves every ray's nearest hit and its bits unchanged.  The
+    ground plane has no sphere and is never dropped; nor is a sphere around
+    the camera, whose centre lies on every plane; nor a cylinder, in a block
+    that holds a ``_near_vertical`` world ray.
     """
     cfg = spec.camera
-
-    def block(rows: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-        t, _, dirs = _cast_from(spec, pose, _camera_rays(cfg, *rows))
-        return pinhole_range_pixels(dirs * t[:, None], cfg)
-
-    # an iterator, so the merge holds the only reference to each block
-    blocks = map(block, _row_blocks(np.full(cfg.height, cfg.width)))
-    return _range_image(*_merge_nearest(blocks, cfg), cfg)
+    rot = pose.rotation_matrix()
+    # an unbounded primitive sits at the camera centre with an infinite
+    # margin, so no plane drops it
+    spheres = [p.bounding_sphere or (pose.t, math.inf) for p in spec.primitives]
+    centres = (np.reshape([c for c, _ in spheres], (-1, 3)) - pose.t) @ rot
+    margins = np.array([_sphere_margin(r) for _, r in spheres])
+    cylinders = np.array([isinstance(p, Cylinder) for p in spec.primitives], dtype=bool)
+    img = np.zeros((cfg.height, cfg.width, 1), dtype=np.float32)
+    flat = img.reshape(-1)
+    for row0, row1 in _row_blocks(np.full(cfg.height, cfg.width)):
+        dirs = _camera_rays(cfg, row0, row1)
+        # column-major, so the casters read contiguous coordinate columns
+        world = (rot @ dirs.T).T
+        outside = np.any(centres @ _frustum_normals(cfg, row0, row1).T < -margins[:, None], axis=1)
+        if np.any(outside & cylinders) and np.any(_near_vertical(world)):
+            outside &= ~cylinders
+        seen = tuple(p for p, out in zip(spec.primitives, outside.tolist()) if not out)
+        t, idx = _cast(pose.t, world, seen, spec.max_range)
+        hit = np.flatnonzero(idx >= 0)
+        flat[row0 * cfg.width + hit] = _ranges(dirs[hit] * t[hit, None])
+    return img
 
 
 def generate_scene(

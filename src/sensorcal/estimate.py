@@ -443,7 +443,8 @@ def _scores(
     The calls run in (candidate, problem, frame) order up to the first +inf,
     which is then the candidate's cost.  Candidates are drawn and projected
     in batches of about _BATCH_POINTS points (at least one candidate), with
-    one ``equirect_range_pixels_batch`` per raster size per batch.
+    one ``equirect_range_pixels_batch`` per raster size per batch that has
+    a residual to project on it.
 
     memo, when given, maps (problem index, residual bytes) to the problem's
     mean cost at that residual, and gains each pair scored here.  A pair it
@@ -506,7 +507,8 @@ def _scores(
                 for i, xyz in sources
                 if i in wanted
             ]
-            projected[proj] = iter(equirect_range_pixels_batch(segments, proj))
+            if segments:  # the memo may hold every edge on this raster size
+                projected[proj] = iter(equirect_range_pixels_batch(segments, proj))
         for residuals, ps, wanted in zip(batch, pairs, todo):
             # the candidate's projections per problem, one per frame
             pixels = {

@@ -258,18 +258,6 @@ def _nearest_per_pixel(
     return _nearest_per_segment(pix, r, None, 1, cfg)[0]
 
 
-def _range_image(pix: np.ndarray, r: np.ndarray, cfg: ProjectionConfig) -> np.ndarray:
-    """Single-channel raster of the output of ``_nearest_per_pixel``.
-
-    Float32 rounding is monotonic, so the nearest float64 range rounds to
-    the smallest float32 range of its pixel: the raster equals the one
-    ``_rasterize`` makes of a cloud without channels.
-    """
-    img = np.zeros((cfg.height, cfg.width, 1), dtype=np.float32)
-    img.reshape(-1)[pix] = r
-    return img
-
-
 # Camera images are rendered and unprojected this many rows at a time, so
 # the camera path holds one block of points rather than the whole image's:
 # 32 rows of the default 640x320 camera are 20,480 points.

@@ -238,6 +238,10 @@ def test_render_predicted_requires_pred(frames_dir, tmp_path):
     [
         (["calibrate", "--frames", "{frames}", "--scenario", "small", "--multiframe", "2"], 1,
          "error: --multiframe requires a rigid-* scenario"),
+        # two frames: a group of three would be a short last group
+        (["calibrate", "--frames", "{frames}", "--scenario", "rigid-small", "--multiframe", "3",
+          "--runs", "1", "--budget", "50"], 1,
+         "error: --multiframe 3 does not divide the 2 frame(s)"),
         (["calibrate", "--frames", "{missing}", "--scenario", "small"], 1,
          "error: [Errno 2] No such file or directory"),
         (["calibrate", "--frames", "{not_json}", "--scenario", "small"], 2,
@@ -281,6 +285,7 @@ def test_render_predicted_requires_pred(frames_dir, tmp_path):
     ],
     ids=[
         "calibrate",
+        "calibrate-multiframe-not-dividing-frames",
         "calibrate-missing-frames",
         "calibrate-manifest-not-json",
         "calibrate-manifest-empty-object",

@@ -819,6 +819,33 @@ def test_a_memo_that_stores_nothing_costs_its_hits_and_no_bits(perturbed, monkey
     assert n_forgotten == n_remembered + memo.hits
 
 
+def test_a_joint_estimate_projects_no_empty_batch(perturbed, monkeypatch):
+    """When the polish's memo holds every edge on one raster size for a whole
+    batch, nothing is projected on it: 34 such calls of this estimate used
+    to project an empty list.  The 2338 cost calls measured before stay, and
+    every bit equals an estimate without the memo, which projects every
+    residual."""
+    import sensorcal.estimate as estimate
+
+    sizes = []
+    batch = estimate.equirect_range_pixels_batch
+
+    def recording(segments, cfg):
+        sizes.append(len(segments))
+        return batch(segments, cfg)
+
+    stage = EstimatorStage(bounds=SMALL, budget=400)
+    run = lambda: estimate_multiframe(  # noqa: E731
+        [perturbed], stage, LossWeights(), AlignmentCostConfig(), seed=1
+    )
+    monkeypatch.setattr(estimate, "equirect_range_pixels_batch", recording)
+    skipping, calls = _counted_runs(monkeypatch, run)
+    assert sizes and 0 not in sizes
+    assert calls == 2338
+    _memo_as(monkeypatch, _Forgetful)
+    assert _bits(skipping) == _bits(run())
+
+
 def _saved_frames(directory, seed, count):
     """The frames of `gen-scene --seed seed --frames count`, read back from
     disk as `calibrate` reads them."""

@@ -15,7 +15,6 @@ from sensorcal.projection import (
     ProjectionConfig,
     SphericalCoord,
     _merge_nearest,
-    _range_image,
     _ranges,
     _rasterize,
     _row_blocks,
@@ -30,6 +29,13 @@ from sensorcal.projection import (
     unproject_pinhole,
 )
 from sensorcal.transform import RigidTransform, from_euler, transform_points
+
+
+def _range_image(pix, r, cfg):
+    """Single-channel raster of flat pixel ids and their float32 ranges."""
+    img = np.zeros((cfg.height, cfg.width, 1), dtype=np.float32)
+    img.reshape(-1)[pix] = r
+    return img
 
 
 def brute_force_equirect(cloud, cfg):

@@ -22,6 +22,7 @@ from sensorcal.dataio import (
     Box,
     Cylinder,
     GroundPlane,
+    SceneSpec,
     _camera_rays,
     _cast,
     _rays_near,
@@ -437,3 +438,165 @@ def test_rotation_of_a_block_equals_rows_of_the_whole_product():
             for start in (0, len(whole_dirs) - rows, *rng.choice(cuts, 4)):
                 block = whole_dirs[start : start + rows]
                 assert ((rot @ block.T).T).tobytes() == whole[start : start + rows].tobytes()
+
+
+# --- the camera's per-block frustum cull ----------------------------------------
+
+
+def _casts(spec, pose, monkeypatch):
+    """The rendered image and, per ``_cast`` call of the render, the origin,
+    the world directions and the primitives cast against."""
+    calls = []
+    cast = dataio._cast
+
+    def recording(origin, dirs, primitives, max_range):
+        calls.append((origin, dirs, primitives))
+        return cast(origin, dirs, primitives, max_range)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(dataio, "_cast", recording)
+        img = _render_camera(spec, pose)
+    return img, calls
+
+
+def _dropped(primitives, kept):
+    """The primitives a block dropped; kept must be a subsequence of them."""
+    kept = iter(kept)
+    head = next(kept, None)
+    dropped = []
+    for prim in primitives:
+        if prim is head:
+            head = next(kept, None)
+        else:
+            dropped.append(prim)
+    assert head is None
+    return dropped
+
+
+def _looking_up(x=0.0, y=0.0, z=0.0):
+    # the identity rotation: the optical axis is world +z
+    return RigidTransform.from_matrix(np.array([[1, 0, 0, x], [0, 1, 0, y], [0, 0, 1, z]], float))
+
+
+_OFF_CENTRE = ProjectionConfig.pinhole(96, 40, fx=70.0, fy=52.0, cx=31.7, cy=26.2)
+# odd sizes with the principal point on a pixel centre: one ray is the optical axis
+_UP_WIDE = ProjectionConfig.pinhole(33, 33, fx=20.0, fy=20.0, cx=16.5, cy=16.5)
+_UP_NARROW = ProjectionConfig.pinhole(33, 33, fx=400.0, fy=400.0, cx=16.5, cy=16.5)
+_POLE = Cylinder(cx=3.0, cy=0.0, radius=0.2, z_min=-1.6, z_max=0.5)
+# the default camera's rotation at the origin: optical axis world +x, image down world -z
+_FORWARD = RigidTransform.from_matrix(np.array([[0, 0, 1, 0], [-1, 0, 0, 0], [0, -1, 0, 0]], float))
+
+
+def _cull_cases():
+    cam = default_sensor_poses()["camera"]
+    yawed = compose(cam, from_euler([0.0, 0.0, 0.7, 0.0, 0.0, 0.0]))
+    rolled_pitched = compose(cam, from_euler([0.3, -0.25, 0.0, 0.0, 0.0, 0.0]))
+    all_three = compose(cam, from_euler([-0.4, 0.5, -1.1, 0.3, -0.2, 0.1]))
+    scene = random_scene_spec(seed=5)
+    # a pole, a box and a pole further off, and a canopy overhead
+    poles = (GroundPlane(), _POLE, Box(center=(-2.0, 1.5, 0.0), size=(0.6, 0.6, 3.0)),
+             Cylinder(cx=0.0, cy=1.0, radius=0.3, z_min=-1.6, z_max=3.0),
+             Box(center=(0.0, 0.0, 6.0), size=(2.0, 2.0, 0.2)))
+    # from _FORWARD through _camera(65): a box across the border of image
+    # rows 31 and 32 (10 m ahead, it lies at the height z_border, with cy
+    # 32.5 and fy 48), one across the first column, one behind the camera, a
+    # slab whose bounding sphere holds the camera, and a pole
+    z_border = 10.0 * (32.5 - 32.0) / 48.0
+    straddling = (
+        GroundPlane(),
+        Box(center=(10.0, 0.0, z_border), size=(0.5, 1.0, 1.0)),
+        Box(center=(6.0, 6.0, 0.0), size=(0.5, 1.5, 1.0)),
+        Box(center=(-5.0, 0.0, 0.0), size=(1.0, 1.0, 1.0)),
+        Box(center=(1.5, -1.0, 0.0), size=(0.4, 3.0, 2.5)),
+        Cylinder(cx=8.0, cy=-3.0, radius=0.3, z_min=-1.6, z_max=2.0),
+    )
+    return {
+        "off-centre-default-pose": (replace(scene, camera=_OFF_CENTRE), cam),
+        "off-centre-yawed": (replace(scene, camera=_OFF_CENTRE), yawed),
+        "off-centre-rolled-pitched": (replace(scene, camera=_OFF_CENTRE), rolled_pitched),
+        "off-centre-yawed-rolled-pitched": (replace(scene, camera=_OFF_CENTRE), all_three),
+        "one-pixel-wide-31": (replace(scene, camera=_camera(_BLOCK_ROWS - 1, 1)), yawed),
+        "one-pixel-wide-33": (replace(scene, camera=_camera(_BLOCK_ROWS + 1, 1)), all_three),
+        "one-pixel-wide-65": (
+            replace(scene, camera=_camera(2 * _BLOCK_ROWS + 1, 1)), rolled_pitched
+        ),
+        "height-31": (replace(scene, camera=_camera(_BLOCK_ROWS - 1)), rolled_pitched),
+        "height-33": (replace(scene, camera=_camera(_BLOCK_ROWS + 1)), all_three),
+        "looking-up-wide": (
+            SceneSpec(primitives=poles, camera=_UP_WIDE), _looking_up(2.2, 0.0, -1.0)
+        ),
+        "looking-up-past-a-pole": (SceneSpec(primitives=poles, camera=_UP_NARROW), _looking_up()),
+        "straddling-and-behind": (
+            SceneSpec(primitives=straddling, camera=_camera(2 * _BLOCK_ROWS + 1)), _FORWARD
+        ),
+    }
+
+
+_CULL_CASES = _cull_cases()
+
+
+@pytest.mark.parametrize("case", list(_CULL_CASES), ids=list(_CULL_CASES))
+def test_culled_render_equals_whole_image(case, monkeypatch):
+    """Bit-equal to the image of every ray against every primitive, and
+    every primitive a block drops has no hit of its rays in range.  The
+    camera lies inside the bounding spheres of random_scene_spec's walls."""
+    spec, pose = _CULL_CASES[case]
+    img, calls = _casts(spec, pose, monkeypatch)
+    ref = reference_render_camera(spec, pose)
+    assert np.count_nonzero(ref) > 0
+    assert img.tobytes() == ref.tobytes()
+    for origin, dirs, kept in calls:
+        for prim in _dropped(spec.primitives, kept):
+            assert not np.any(prim.intersect(origin, dirs) <= spec.max_range)
+
+
+def test_blocks_drop_what_lies_outside_their_frustum(monkeypatch):
+    spec, pose = _CULL_CASES["straddling-and-behind"]
+    _, calls = _casts(spec, pose, monkeypatch)
+    ground, across_rows, across_column, behind, around_camera, pole = spec.primitives
+    blocks_of = lambda prim: [any(p is prim for p in kept) for _, _, kept in calls]  # noqa: E731
+    # blocks of rows [0, 32), [32, 64) and [64, 65)
+    assert len(calls) == 3
+    assert blocks_of(across_rows) == [True, True, False]
+    assert blocks_of(across_column) == [True, True, False]
+    assert blocks_of(behind) == [False, False, False]
+    assert blocks_of(pole) == [True, True, False]
+    # unbounded, and a sphere around the camera: never dropped
+    assert blocks_of(ground) == blocks_of(around_camera) == [True, True, True]
+    centre, radius = around_camera.bounding_sphere
+    assert np.linalg.norm(np.asarray(centre) - pose.t) < radius
+
+
+@pytest.mark.parametrize("scale, kept", [(0.0, True), (0.5, True), (1.0, True), (1.0005, True),
+                                         (1.0009, True), (1.002, False), (1.5, False)])
+def test_spheres_within_the_margin_of_a_plane_are_kept(scale, kept, monkeypatch):
+    # a box whose bounding sphere's centre lies scale radii outside the left
+    # plane of the first block's frustum, level with the block's middle row
+    cfg = ProjectionConfig.pinhole(96, 64, fx=48.0, fy=48.0, cx=48.0, cy=32.0)
+    x0 = (0.5 - cfg.cx) / cfg.fx
+    y_mid = 0.5 * ((0.5 - cfg.cy) / cfg.fy + (_BLOCK_ROWS - 0.5 - cfg.cy) / cfg.fy)
+    normal = np.array([1.0, 0.0, -x0]) / math.hypot(1.0, x0)
+    box = Box(center=(0.0, 0.0, 0.0), size=(0.4, 0.6, 0.8))
+    radius = box.bounding_sphere[1]
+    centre = 10.0 * np.array([x0, y_mid, 1.0]) - scale * radius * normal
+    box = replace(box, center=tuple(centre.tolist()))
+    _, calls = _casts(SceneSpec(primitives=(box,), camera=cfg), _looking_up(), monkeypatch)
+    assert (box in calls[0][2]) == kept
+
+
+def test_cylinders_stay_in_a_block_with_a_near_vertical_ray(monkeypatch):
+    # the narrow camera looks straight up past the pole; its optical axis is
+    # a ray of the first block, whose frustum the pole's sphere lies outside
+    spec, pose = _CULL_CASES["looking-up-past-a-pole"]
+    _, calls = _casts(spec, pose, monkeypatch)
+    assert [_POLE in kept for _, _, kept in calls] == [True, False]
+    box = Box(center=_POLE.bounding_sphere[0], size=(0.4, 0.4, 2.1))
+    _, calls = _casts(replace(spec, primitives=(box,)), pose, monkeypatch)
+    assert [box in kept for _, _, kept in calls] == [False, False]
+
+
+def test_a_scene_without_primitives_renders_an_empty_image():
+    spec = replace(random_scene_spec(seed=5, camera=_camera(_BLOCK_ROWS + 1)), primitives=())
+    img = _render_camera(spec, default_sensor_poses()["camera"])
+    assert img.shape == (_BLOCK_ROWS + 1, 96, 1)
+    assert not np.any(img)
