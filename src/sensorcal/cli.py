@@ -352,8 +352,10 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
         "multiframe": args.multiframe,
     }
     tasks = [{**task_base, "run": r} for r in range(runs)]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(args.jobs, initializer=_init_worker, initargs=(frames,)) as pool:
+    # the pool starts all its workers at once, each holding the frames
+    jobs = min(args.jobs, runs)
+    if jobs > 1:
+        with ProcessPoolExecutor(jobs, initializer=_init_worker, initargs=(frames,)) as pool:
             results = list(pool.map(_worker_run, tasks))
     else:
         results = map(partial(_calibrate_run, frames), tasks)
@@ -545,7 +547,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--multiframe", type=int, default=1,
         help="frames estimated together per group (rigid-* scenarios only)",
     )
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument(
+        "--jobs", type=int, default=1,
+        help="worker processes for the runs, at most one per run (1: no workers)",
+    )
     p.set_defaults(
         func=cmd_calibrate,
         ranges={

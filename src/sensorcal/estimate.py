@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
-from itertools import islice
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -69,9 +68,12 @@ class EstimatorStage:
     budget is what each edge's multistart and the joint polish may spend.
     The polish keeps to it.  A multistart's rotation screen (wide boxes
     only) is paid first and its starts share the rest, one evaluation each
-    at the least, so a screen larger than the budget overspends it: 13^3 =
-    2197 probes plus 8 starved evaluations make 2205 per edge in a +-20 deg
-    stage at budget 1600.
+    at the least, so a screen larger than the budget overspends it and
+    starves the starts.  In a +-20 deg stage at budget 1600 the 13^3 = 2197
+    probes leave each start one evaluation, of its start point, which is a
+    probe already scored; on lidar_radar the identity is not, as rounding
+    moves its grid's middle off 0.  So a camera edge makes 2197 cost calls
+    per frame, and lidar_radar 2198.
 
     final is False for every stage of a refinement but the last
     (``refine_multiframe`` sets it).  A final stage does two things earlier
@@ -246,9 +248,11 @@ def _multistart(
     screen instead of uniform draws.  The screen's evaluations come out of
     the budget, and the starts share what is left, at least one evaluation
     each: a screen larger than the budget (13^3 = 2197 probes in a +-20 deg
-    box) overspends it.  The starts run in lock-step, so each round's
-    candidates are scored together, and ties between starts keep the
-    earliest start, so the reduction is deterministic for a fixed seed.
+    box) overspends it, and its starts then make no descent, each scoring
+    only its start point (see ``EstimatorStage``).  The starts run in
+    lock-step, so each round's candidates are scored together, and ties
+    between starts keep the earliest start, so the reduction is
+    deterministic for a fixed seed.
     With race and at least _RACE_MIN_MAXFEV evaluations per start, beaten
     starts retire early (see _RACE); a retired start's cost is above the
     leader's, so it never wins.
@@ -381,13 +385,20 @@ def _camera_half_fov(cfg: ProjectionConfig) -> float:
     )
 
 
+# Points projected together in one batch of residuals: the batch's
+# temporaries stay near 1.5 MB, while 400-point radar sources still batch
+# about 40 residuals.
+_BATCH_POINTS = 16384
+
+
 @dataclass(frozen=True, eq=False)
 class _EdgeProblem:
     """One pairwise alignment task: sources per frame, targets per frame.
 
     targets[k] is the band of rows of frame k's raster that hold a return,
-    and first_rows[k] the raster row it starts at.  Problems compare by
-    identity, like the clouds they hold.
+    and first_rows[k] the raster row it starts at.  memo maps the bytes of
+    a residual's q and t to the problem's mean cost there, for the life of
+    the problem.  Problems compare by identity, like the clouds they hold.
     """
 
     name: str
@@ -397,6 +408,7 @@ class _EdgeProblem:
     nominal: RigidTransform
     cfg: AlignmentCostConfig
     box: np.ndarray
+    memo: dict[bytes, float] = field(default_factory=dict, repr=False)
 
     @cached_property
     def _points(self) -> int:
@@ -407,8 +419,44 @@ class _EdgeProblem:
         return invert(self.nominal)
 
     def costs(self, xs: Sequence[np.ndarray]) -> list[float]:
-        """Mean alignment cost over the frames of each candidate (``_scores``)."""
-        return _scores((self,), ((from_euler(x),) for x in xs))
+        """The ``means`` of the candidates' residuals."""
+        return self.means([from_euler(x) for x in xs])
+
+    def means(self, residuals: Sequence[RigidTransform]) -> list[float]:
+        """Each residual's mean ``alignment_cost`` over the frames, or +inf
+        at the first frame without overlap, whose later frames are skipped.
+
+        A residual the memo holds, or one already seen in this call, is
+        neither projected nor scored: the cost depends only on its bits, so
+        the results keep every bit.  The rest are projected in batches of
+        about _BATCH_POINTS points (at least one residual), one
+        ``equirect_range_pixels_batch`` per batch, and scored in order; the
+        memo gains each mean.
+        """
+        keys = [r.q.tobytes() + r.t.tobytes() for r in residuals]
+        unique = dict(zip(keys, residuals))
+        means = {key: self.memo.get(key) for key in unique}
+        todo = [(key, r) for key, r in unique.items() if means[key] is None]
+        per_batch = max(_BATCH_POINTS // max(self._points, 1), 1)
+        for start in range(0, len(todo), per_batch):
+            batch = todo[start : start + per_batch]
+            segments = [(r, source.xyz) for _, r in batch for source in self.sources]
+            projected = iter(equirect_range_pixels_batch(segments, self.cfg.projection))
+            for key, residual in batch:
+                pixels = [next(projected) for _ in self.sources]
+                cost = 0.0
+                for source, target, row, pix in zip(
+                    self.sources, self.targets, self.first_rows, pixels
+                ):
+                    c = alignment_cost(
+                        source, residual, target, self.cfg, first_row=row, projected=pix
+                    )
+                    if not math.isfinite(c):
+                        cost = math.inf
+                        break
+                    cost += c
+                self.memo[key] = means[key] = cost / len(self.sources)
+        return [means[key] for key in keys]
 
     def edge(self, x: np.ndarray) -> RigidTransform:
         return self.residual_edge(from_euler(x))
@@ -424,99 +472,6 @@ class _EdgeProblem:
         if self.name == "radar_cam":
             return to_euler(compose(self._nominal_inverse, invert(edge)))
         return to_euler(compose(self._nominal_inverse, edge))
-
-
-# Points projected together in one batch of candidates: the batch's
-# temporaries stay near 1.5 MB, while 400-point radar sources still batch
-# about 40 candidates.
-_BATCH_POINTS = 16384
-
-
-def _scores(
-    problems: Sequence[_EdgeProblem],
-    candidates: Iterable[Sequence[RigidTransform]],
-    memo: dict[tuple[int, bytes], float] | None = None,
-) -> list[float]:
-    """Cost of each candidate, one residual per problem: the sum of each
-    problem's mean ``alignment_cost`` over its frames.
-
-    The calls run in (candidate, problem, frame) order up to the first +inf,
-    which is then the candidate's cost.  Candidates are drawn and projected
-    in batches of about _BATCH_POINTS points (at least one candidate), with
-    one ``equirect_range_pixels_batch`` per raster size per batch that has
-    a residual to project on it.
-
-    memo, when given, maps (problem index, residual bytes) to the problem's
-    mean cost at that residual, and gains each pair scored here.  A pair it
-    holds when its batch is drawn is not projected, and one it holds at its
-    turn is not scored: the cost depends only on the residual's bits, so the
-    results keep every bit.
-    """
-    per_batch = max(_BATCH_POINTS // max(sum(p._points for p in problems), 1), 1)
-    # per raster size, the (problem index, points) of each source it projects
-    rasters: dict[ProjectionConfig, list[tuple[int, np.ndarray]]] = {}
-    for i, problem in enumerate(problems):
-        for source in problem.sources:
-            rasters.setdefault(problem.cfg.projection, []).append((i, source.xyz))
-
-    def score(
-        residuals: Sequence[RigidTransform],
-        pairs: Sequence[tuple[int, bytes] | None],
-        pixels: dict[int, list],
-    ) -> float:
-        total = 0.0
-        for i, (problem, residual, pair) in enumerate(zip(problems, residuals, pairs)):
-            mean = None if pair is None else memo.get(pair)
-            if mean is None:
-                cost = 0.0
-                for source, target, row, projected in zip(
-                    problem.sources, problem.targets, problem.first_rows, pixels[i]
-                ):
-                    c = alignment_cost(
-                        source, residual, target, problem.cfg, first_row=row, projected=projected
-                    )
-                    if not math.isfinite(c):
-                        cost = math.inf
-                        break
-                    cost += c
-                mean = cost / len(problem.sources)
-                if pair is not None:
-                    memo[pair] = mean
-            if not math.isfinite(mean):
-                return math.inf
-            total += mean
-        return total
-
-    out = []
-    candidates = iter(candidates)
-    while batch := list(islice(candidates, per_batch)):
-        # per candidate, its (problem index, residual bytes) pairs, None
-        # without a memo, and the problems whose residual is projected
-        pairs = [
-            [None] * len(problems)
-            if memo is None
-            else [(i, r.q.tobytes() + r.t.tobytes()) for i, r in enumerate(residuals)]
-            for residuals in batch
-        ]
-        todo = [[i for i, pair in enumerate(ps) if pair is None or pair not in memo] for ps in pairs]
-        projected = {}
-        for proj, sources in rasters.items():
-            segments = [
-                (residuals[i], xyz)
-                for residuals, wanted in zip(batch, todo)
-                for i, xyz in sources
-                if i in wanted
-            ]
-            if segments:  # the memo may hold every edge on this raster size
-                projected[proj] = iter(equirect_range_pixels_batch(segments, proj))
-        for residuals, ps, wanted in zip(batch, pairs, todo):
-            # the candidate's projections per problem, one per frame
-            pixels = {
-                i: [next(projected[problems[i].cfg.projection]) for _ in problems[i].sources]
-                for i in wanted
-            }
-            out.append(score(residuals, ps, pixels))
-    return out
 
 
 # camera targets by the id of their depth image, then by (pull-back, raster, camera)
@@ -647,9 +602,11 @@ def estimate_multiframe(
     earlier stage runs every start to its budget, and every search there
     keeps _XATOL = 1e-7 (see ``EstimatorStage``).
 
-    The seeds and the polish remember each edge's mean alignment cost by
-    the bits of its residual, so a candidate that moves one edge projects
-    and scores only that edge; the results keep every bit.
+    Each edge problem remembers its mean alignment cost by the bits of the
+    residual, for the life of this call: its multistart, rotation screen,
+    the seeds and the polish score each residual once, and a polish vertex
+    that moves one edge projects and scores only that edge.  The results
+    keep every bit.
 
     A camera edge's target is built once per (depth image, camera, pull-back,
     raster) and kept for the life of the depth image, so the stages and runs
@@ -673,14 +630,16 @@ def estimate_multiframe(
         return preds
 
     identity = RigidTransform.identity()
-    # each edge's mean alignment cost by residual, for the seeds and the
-    # polish: a vertex that moves one edge re-scores only that edge
-    memo: dict[tuple[int, bytes], float] = {}
 
     def joint_costs(xs: Sequence[np.ndarray]) -> list[float]:
-        # one candidate per edge serves both its alignment cost and the loop
+        # one residual per edge serves both its alignment cost and the loop
         candidates = [[from_euler(x[6 * i : 6 * i + 6]) for i in range(3)] for x in xs]
-        out = _scores(problems, candidates, memo)
+        out = [0.0] * len(xs)
+        # edge by edge, over the candidates whose sum is still finite
+        for i, problem in enumerate(problems):
+            live = [k for k, total in enumerate(out) if math.isfinite(total)]
+            for k, mean in zip(live, problem.means([candidates[k][i] for k in live])):
+                out[k] += mean
         for k, residuals in enumerate(candidates):
             if math.isfinite(out[k]):
                 # problems are in PAIR_NAMES order, as PredictionSet's fields

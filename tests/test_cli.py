@@ -129,6 +129,47 @@ def test_calibrate_jobs_2_writes_the_files_of_jobs_1(tmp_path):
         assert (serial / rel).read_bytes() == (parallel / rel).read_bytes(), rel
 
 
+class _InProcessPool:
+    """Stands in for ProcessPoolExecutor: records max_workers and runs each
+    task in this process, after the initializer."""
+
+    started: list = []
+
+    def __init__(self, max_workers, initializer, initargs):
+        self.started.append(max_workers)
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+@pytest.mark.parametrize("jobs, runs, started", [("4", "2", [2]), ("4", "1", []), ("2", "3", [2])])
+def test_calibrate_starts_at_most_one_worker_per_run(
+    frames_dir, tmp_path, monkeypatch, jobs, runs, started
+):
+    import sensorcal.cli as cli
+
+    monkeypatch.setattr(_InProcessPool, "started", [])
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _InProcessPool)
+    args = [
+        "calibrate",
+        "--frames", str(frames_dir),
+        "--out", str(tmp_path / "out"),
+        "--scenario", "small",
+        "--estimator", "oracle",
+        "--runs", runs,
+        "--jobs", jobs,
+    ]
+    assert main(args) == 0
+    assert _InProcessPool.started == started
+
+
 def test_evaluate_reproduces_summary(frames_dir, tmp_path):
     cal = tmp_path / "cal"
     main(
@@ -251,8 +292,10 @@ def test_render_predicted_requires_pred(frames_dir, tmp_path):
         (["calibrate", "--frames", "{zero_fx}", "--scenario", "small"], 2,
          "manifest.json: camera fx, fy and depth_scale must be > 0"),
         # the first frame calibrates, the second has no radar return in view
+        # two runs, so that --jobs 2 starts a pool and its failure crosses it
         *((["calibrate", "--frames", "{far_radar}", "--scenario", "small", "--budget", "50",
-            "--jobs", jobs], 2, "error: stage 0: edge lidar_radar: no raster overlap")
+            "--jobs", jobs, "--runs", jobs], 2,
+           "error: stage 0: edge lidar_radar: no raster overlap")
           for jobs in ("1", "2")),
         (["calibrate", "--frames", "{cut_lidar}", "--scenario", "small"], 2,
          "values is not a multiple of record size 4"),

@@ -1,5 +1,7 @@
 import math
+from collections import Counter
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,7 +18,6 @@ from sensorcal.estimate import (
     _band,
     _build_problems,
     _frustum_crop,
-    _scores,
     alignment_cost,
     estimate_multiframe,
     estimate_pairwise,
@@ -591,8 +592,12 @@ def test_joint_estimate_makes_a_pinned_number_of_cost_calls(monkeypatch):
     lidar_radar, whose starts then get one evaluation each).  One call per
     (candidate, frame) kept the 8428 measured before the starts were
     evaluated in lock-step; the polish's memo of edge costs then saved 43
-    edge scorings of two frames each.  The final polish's xatol moves
-    nothing here: its 400 evaluations run out first."""
+    edge scorings of two frames each (8342).  Each edge problem's own memo
+    saves 50 more calls: 44 in the multistarts, whose seven screened starts
+    (and on lidar_radar the identity, the grid's middle) begin at a probe
+    already scored, and 6 in the seeds, which no longer re-score the three
+    multistart winners.  The final polish's xatol moves nothing here: its
+    400 evaluations run out first."""
     import sensorcal.estimate as estimate
 
     frames = [
@@ -615,7 +620,7 @@ def test_joint_estimate_makes_a_pinned_number_of_cost_calls(monkeypatch):
     monkeypatch.setattr(estimate, "alignment_cost", counting)
     stage = EstimatorStage(bounds=box, budget=400)
     estimate_multiframe(group, stage, LossWeights(), AlignmentCostConfig(), seed=3)
-    assert len(calls) == 8342
+    assert len(calls) == 8292
 
 
 # --- the final stage's stop -----------------------------------------------------
@@ -728,16 +733,17 @@ def test_a_final_stage_races_its_starts_to_the_same_bits(perturbed, monkeypatch)
 
 def test_a_stage_before_the_last_does_not_race(perturbed, monkeypatch):
     """final=False runs every start to its budget: the 8622 cost calls
-    measured before racing existed, less the polish memo's 215 hits."""
+    measured before racing existed, less the polish memo's 215 hits and
+    the three multistart winners the seeds no longer re-score."""
     stage = EstimatorStage(bounds=SMALL, budget=1600, final=False)
     run = lambda: estimate_multiframe(  # noqa: E731
         [perturbed], stage, LossWeights(), AlignmentCostConfig(), seed=1
     )
     _, calls = _counted_runs(monkeypatch, run)
-    assert calls == 8407
+    assert calls == 8404
 
 
-# --- the polish's memo ----------------------------------------------------------
+# --- the edge problems' memos ---------------------------------------------------
 
 
 class _Forgetful(dict):
@@ -758,73 +764,93 @@ class _Counting(dict):
         return value
 
 
-def _memo_as(monkeypatch, memo_type):
-    """Hand _scores a fresh memo_type() in place of each polish's memo;
-    returns the list of memos handed out."""
+@pytest.fixture
+def memos(monkeypatch):
+    """Give each problem that _build_problems returns a fresh memo of type
+    memos.kind (dict until a test sets it); memos.problems lists them."""
     import sensorcal.estimate as estimate
 
-    handed = {}
+    build = estimate._build_problems
+    memos = SimpleNamespace(kind=dict, problems=[])
 
-    def substituting(problems, candidates, memo=None):
-        if memo is not None:
-            # keyed by the polish's own memo, which is kept alive with its substitute
-            memo = handed.setdefault(id(memo), (memo, memo_type()))[1]
-        return _scores(problems, candidates, memo)
+    def building(*args, **kwargs):
+        problems = [replace(p, memo=memos.kind()) for p in build(*args, **kwargs)]
+        memos.problems.extend(problems)
+        return problems
 
-    monkeypatch.setattr(estimate, "_scores", substituting)
-    return handed
+    monkeypatch.setattr(estimate, "_build_problems", building)
+    return memos
 
 
-def test_a_polish_scores_each_edge_residual_once(frame, perturbed, monkeypatch):
-    """Over the seeds and the polish of one estimate, alignment_cost sees
-    each (edge, residual bits, frame) at most once."""
+def test_an_estimate_scores_each_edge_residual_once(perturbed, monkeypatch):
+    """Over the multistarts, the rotation screen, the seeds and the polish
+    of one estimate, alignment_cost sees each (source, target, residual
+    bits) at most once."""
     import sensorcal.estimate as estimate
 
-    seen, in_polish = [], []
+    seen = []
     cost = estimate.alignment_cost
 
-    def flagged(problems, candidates, memo=None):
-        in_polish.append(memo is not None)
-        try:
-            return _scores(problems, candidates, memo)
-        finally:
-            in_polish.pop()
-
     def recording(source, candidate, target, *args, **kwargs):
-        if in_polish[-1]:
-            seen.append((id(source), id(target), candidate.q.tobytes(), candidate.t.tobytes()))
+        seen.append((id(source), id(target), candidate.q.tobytes(), candidate.t.tobytes()))
         return cost(source, candidate, target, *args, **kwargs)
 
-    monkeypatch.setattr(estimate, "_scores", flagged)
     monkeypatch.setattr(estimate, "alignment_cost", recording)
-    stage = EstimatorStage(bounds=SMALL, budget=400)
-    estimate_multiframe([frame, perturbed], stage, LossWeights(), AlignmentCostConfig(), seed=4)
+    # wide enough for the rotation screen on every edge
+    stage = EstimatorStage(bounds=MiscalBounds(0.1, math.radians(8.0)), budget=400)
+    estimate_multiframe([perturbed], stage, LossWeights(), AlignmentCostConfig(), seed=4)
     assert seen and len(set(seen)) == len(seen)
 
 
-def test_a_memo_that_stores_nothing_costs_its_hits_and_no_bits(perturbed, monkeypatch):
-    """Without the memo's entries every bit of the estimate holds, and the
-    polish makes one more cost call per hit (one frame, so one call each)."""
+def test_a_starved_multistart_scores_only_the_screen(perturbed, monkeypatch, memos):
+    """In a +-1 m / +-20 deg stage at budget 1600 the 13^3 = 2197 screen
+    probes leave each start one evaluation, of its start point.  The seven
+    screened starts are remembered probes, and so is the identity where the
+    grid's middle is exactly 0 (the camera edges); 2205 calls per edge were
+    measured before the problems remembered their costs."""
+    import sensorcal.estimate as estimate
+
+    calls = []
+    cost = estimate.alignment_cost
+
+    def recording(source, *args, **kwargs):
+        calls.append(id(source))
+        return cost(source, *args, **kwargs)
+
+    monkeypatch.setattr(estimate, "alignment_cost", recording)
+    stage = EstimatorStage(bounds=MiscalBounds(1.0, math.radians(20.0)), budget=1600)
+    # no polish: the multistarts alone
+    w = LossWeights(loop_weight=0.0)
+    estimate_multiframe([perturbed], stage, w, AlignmentCostConfig(), seed=1)
+    names = {id(source): p.name for p in memos.problems for source in p.sources}
+    per_edge = Counter(names[source] for source in calls)
+    assert per_edge == {"cam_lidar": 2197, "lidar_radar": 2198, "radar_cam": 2197}
+
+
+def test_a_memo_that_stores_nothing_costs_its_hits_and_no_bits(perturbed, monkeypatch, memos):
+    """Without the memos' entries every bit of the estimate holds, and the
+    multistarts and the polish make one more cost call per hit (one frame,
+    so one call each)."""
     stage = EstimatorStage(bounds=SMALL, budget=400)
     run = lambda: estimate_multiframe(  # noqa: E731
         [perturbed], stage, LossWeights(), AlignmentCostConfig(), seed=1
     )
-    counting = _memo_as(monkeypatch, _Counting)
+    memos.kind = _Counting
     remembered, n_remembered = _counted_runs(monkeypatch, run)
-    [(_, memo)] = counting.values()
-    _memo_as(monkeypatch, _Forgetful)
+    hits = sum(p.memo.hits for p in memos.problems)
+    memos.kind = _Forgetful
     forgotten, n_forgotten = _counted_runs(monkeypatch, run)
     assert _bits(remembered) == _bits(forgotten)
-    assert memo.hits > 0
-    assert n_forgotten == n_remembered + memo.hits
+    assert hits > 0
+    assert n_forgotten == n_remembered + hits
 
 
-def test_a_joint_estimate_projects_no_empty_batch(perturbed, monkeypatch):
-    """When the polish's memo holds every edge on one raster size for a whole
-    batch, nothing is projected on it: 34 such calls of this estimate used
-    to project an empty list.  The 2338 cost calls measured before stay, and
-    every bit equals an estimate without the memo, which projects every
-    residual."""
+def test_a_joint_estimate_projects_no_empty_batch(perturbed, monkeypatch, memos):
+    """A problem projects only the residuals its memo lacks, and makes no
+    projection call when it lacks none (34 calls of this estimate once
+    projected an empty list).  The 2338 cost calls measured then, less the
+    three multistart winners the seeds no longer re-score, and every bit
+    equals an estimate whose memos store nothing."""
     import sensorcal.estimate as estimate
 
     sizes = []
@@ -841,9 +867,32 @@ def test_a_joint_estimate_projects_no_empty_batch(perturbed, monkeypatch):
     monkeypatch.setattr(estimate, "equirect_range_pixels_batch", recording)
     skipping, calls = _counted_runs(monkeypatch, run)
     assert sizes and 0 not in sizes
-    assert calls == 2338
-    _memo_as(monkeypatch, _Forgetful)
+    assert calls == 2335
+    memos.kind = _Forgetful
     assert _bits(skipping) == _bits(run())
+
+
+def test_the_memos_die_with_their_estimate(perturbed, monkeypatch):
+    """The problems, and with them their memos, are freed once
+    estimate_multiframe returns."""
+    import gc
+    import weakref
+
+    import sensorcal.estimate as estimate
+
+    refs = []
+    build = estimate._build_problems
+
+    def building(*args, **kwargs):
+        problems = build(*args, **kwargs)
+        refs.extend(weakref.ref(p) for p in problems)
+        return problems
+
+    monkeypatch.setattr(estimate, "_build_problems", building)
+    stage = EstimatorStage(bounds=SMALL, budget=90)
+    estimate_multiframe([perturbed], stage, LossWeights(), AlignmentCostConfig(), seed=2)
+    gc.collect()
+    assert len(refs) == 3 and all(ref() is None for ref in refs)
 
 
 def _saved_frames(directory, seed, count):
