@@ -101,7 +101,8 @@ class Box:
 
 @dataclass(frozen=True)
 class Cylinder:
-    """Vertical cylinder (side surface only) between z_min and z_max."""
+    """Vertical cylinder (side surface only) between z_min and z_max; a ray
+    within 1e-5 rad of its axis (dx**2 + dy**2 < 1e-10) misses it."""
 
     cx: float
     cy: float
@@ -121,10 +122,11 @@ class Cylinder:
         ox = origin[0] - self.cx
         oy = origin[1] - self.cy
         a = dirs[:, 0] ** 2 + dirs[:, 1] ** 2
-        a = np.where(a < 1e-12, 1e-12, a)
+        side = a >= 1e-10
+        a = np.where(side, a, 1.0)
         b = 2.0 * (ox * dirs[:, 0] + oy * dirs[:, 1])
         c = ox * ox + oy * oy - self.radius**2
-        disc = b * b - 4.0 * a * c
+        disc = np.where(side, b * b - 4.0 * a * c, -1.0)
         sq = np.sqrt(np.maximum(disc, 0.0))
         best = np.full(dirs.shape[0], np.inf)
         for sign in (-1.0, 1.0):
@@ -254,17 +256,6 @@ def _sphere_margin(radius: float) -> float:
     return radius * (1.0 + 1e-3) + 1e-6
 
 
-def _near_vertical(dirs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Mask of the unit rays whose horizontal part dx**2 + dy**2 is below 1e-10.
-
-    The 1e-12 guard on a cylinder's quadratic makes its roots non-geometric
-    for such rays, so no bounding-sphere test may drop them at a cylinder.
-    """
-    a = np.multiply(dirs[:, 0], dirs[:, 0], out=out)
-    a += dirs[:, 1] * dirs[:, 1]
-    return a < 1e-10
-
-
 def _rays_near(origin: np.ndarray, dirs: np.ndarray, prim: Primitive) -> np.ndarray | None:
     """Indices of the rays that can hit prim, or None to test every ray.
 
@@ -272,8 +263,7 @@ def _rays_near(origin: np.ndarray, dirs: np.ndarray, prim: Primitive) -> np.ndar
     centre of prim's bounding sphere, so every dropped ray is one that
     prim.intersect maps to inf.  Directions are unit vectors.  Culling only
     pays when the origin sits well outside the sphere, so it is skipped
-    within twice the radius.  Near-vertical rays at a cylinder are always
-    kept.
+    within twice the radius.
     """
     if prim.bounding_sphere is None:
         return None
@@ -288,10 +278,7 @@ def _rays_near(origin: np.ndarray, dirs: np.ndarray, prim: Primitive) -> np.ndar
     proj += dirs[:, 1] * vy
     proj += dirs[:, 2] * vz
     proj *= proj
-    keep = proj >= vv - bound * bound
-    if isinstance(prim, Cylinder):
-        keep |= _near_vertical(dirs, out=proj)
-    return np.flatnonzero(keep)
+    return np.flatnonzero(proj >= vv - bound * bound)
 
 
 def _cast(
@@ -384,8 +371,7 @@ def _render_camera(spec: SceneSpec, pose: RigidTransform) -> np.ndarray:
     block's ``_frustum_normals`` planes holds no hit of its rays, so
     dropping it leaves every ray's nearest hit and its bits unchanged.  The
     ground plane has no sphere and is never dropped; nor is a sphere around
-    the camera, whose centre lies on every plane; nor a cylinder, in a block
-    that holds a ``_near_vertical`` world ray.
+    the camera, whose centre lies on every plane.
     """
     cfg = spec.camera
     rot = pose.rotation_matrix()
@@ -394,7 +380,6 @@ def _render_camera(spec: SceneSpec, pose: RigidTransform) -> np.ndarray:
     spheres = [p.bounding_sphere or (pose.t, math.inf) for p in spec.primitives]
     centres = (np.reshape([c for c, _ in spheres], (-1, 3)) - pose.t) @ rot
     margins = np.array([_sphere_margin(r) for _, r in spheres])
-    cylinders = np.array([isinstance(p, Cylinder) for p in spec.primitives], dtype=bool)
     img = np.zeros((cfg.height, cfg.width, 1), dtype=np.float32)
     flat = img.reshape(-1)
     for row0, row1 in _row_blocks(np.full(cfg.height, cfg.width)):
@@ -402,8 +387,6 @@ def _render_camera(spec: SceneSpec, pose: RigidTransform) -> np.ndarray:
         # column-major, so the casters read contiguous coordinate columns
         world = (rot @ dirs.T).T
         outside = np.any(centres @ _frustum_normals(cfg, row0, row1).T < -margins[:, None], axis=1)
-        if np.any(outside & cylinders) and np.any(_near_vertical(world)):
-            outside &= ~cylinders
         seen = tuple(p for p, out in zip(spec.primitives, outside.tolist()) if not out)
         t, idx = _cast(pose.t, world, seen, spec.max_range)
         hit = np.flatnonzero(idx >= 0)

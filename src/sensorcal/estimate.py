@@ -318,13 +318,12 @@ def estimate_pairwise(
     # one call per solve, options passed by keyword: bench/tracing.py wraps
     # this module's `minimize` and reads len(x0) and options["maxfev"]
     options = _nm_options(x_coarse, box, fine_budget, 0.08)
+    # the fine search scores x_coarse first and never returns a higher cost
     x_fine, f_fine = minimize(fine.costs, x_coarse, options=options)
-    f_coarse, f_identity = fine.costs([x_coarse, np.zeros(6)])
-    candidates = [(f_fine, 0, x_fine), (f_coarse, 1, x_coarse), (f_identity, 2, np.zeros(6))]
-    f_best, _, x_best = min(candidates, key=lambda c: (c[0], c[1]))
-    if not math.isfinite(f_best):
+    (f_identity,) = fine.costs([np.zeros(6)])
+    if not (math.isfinite(f_fine) or math.isfinite(f_identity)):
         raise NoOverlapError("no candidate produced enough raster overlap")
-    return from_euler(x_best)
+    return from_euler(x_fine if f_fine <= f_identity else np.zeros(6))
 
 
 # --- frame-level estimation ---------------------------------------------------

@@ -139,7 +139,8 @@ def _hamilton(a, b) -> tuple[float, float, float, float]:
 
 
 def _quat_from_rotation_matrix(r: np.ndarray) -> np.ndarray:
-    # Shepperd's method: pick the largest diagonal pivot for stability.
+    # Shepperd's method (J. Guidance and Control, 1978): pivot on the trace
+    # or on the largest diagonal entry, for stability.
     trace = r[0, 0] + r[1, 1] + r[2, 2]
     if trace > 0.0:
         s = math.sqrt(trace + 1.0) * 2.0
@@ -152,35 +153,15 @@ def _quat_from_rotation_matrix(r: np.ndarray) -> np.ndarray:
             ]
         )
     i = int(np.argmax([r[0, 0], r[1, 1], r[2, 2]]))
-    if i == 0:
-        s = math.sqrt(1.0 + r[0, 0] - r[1, 1] - r[2, 2]) * 2.0
-        return np.array(
-            [
-                (r[2, 1] - r[1, 2]) / s,
-                0.25 * s,
-                (r[0, 1] + r[1, 0]) / s,
-                (r[0, 2] + r[2, 0]) / s,
-            ]
-        )
-    if i == 1:
-        s = math.sqrt(1.0 - r[0, 0] + r[1, 1] - r[2, 2]) * 2.0
-        return np.array(
-            [
-                (r[0, 2] - r[2, 0]) / s,
-                (r[0, 1] + r[1, 0]) / s,
-                0.25 * s,
-                (r[1, 2] + r[2, 1]) / s,
-            ]
-        )
-    s = math.sqrt(1.0 - r[0, 0] - r[1, 1] + r[2, 2]) * 2.0
-    return np.array(
-        [
-            (r[1, 0] - r[0, 1]) / s,
-            (r[0, 2] + r[2, 0]) / s,
-            (r[1, 2] + r[2, 1]) / s,
-            0.25 * s,
-        ]
-    )
+    j, k = (i + 1) % 3, (i + 2) % 3
+    d = [r[n, n] if n == i else -r[n, n] for n in range(3)]
+    s = math.sqrt(1.0 + d[0] + d[1] + d[2]) * 2.0
+    q = np.empty(4)
+    q[0] = (r[k, j] - r[j, k]) / s
+    q[1 + i] = 0.25 * s
+    q[1 + j] = (r[i, j] + r[j, i]) / s
+    q[1 + k] = (r[i, k] + r[k, i]) / s
+    return q
 
 
 def _checked(q: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

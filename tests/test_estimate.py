@@ -232,6 +232,61 @@ def test_pairwise_no_overlap_raises():
         estimate_pairwise(source, target, stage, cfg, seed=0)
 
 
+def reference_estimate_pairwise(source, target, stage, cfg, *, seed=0):
+    """estimate_pairwise with its earlier three-candidate rule: the lowest of
+    the fine result, the coarse winner and the identity, ties in that order."""
+    import sensorcal.estimate as estimate
+
+    box = estimate._bounds_vector(stage.bounds)
+    rng = np.random.default_rng(seed)
+    identity = RigidTransform.identity()
+    fine = estimate._EdgeProblem("fine", (source,), (target,), (0,), identity, cfg, box)
+    coarse_proj = ProjectionConfig.equirect(*estimate._COARSE_SHAPE)
+    coarse_target = project_equirect(unproject_equirect(target, cfg.projection), coarse_proj)
+    coarse = estimate._EdgeProblem(
+        "coarse", (source.without_channels(),), (coarse_target,), (0,), identity,
+        replace(cfg, projection=coarse_proj), box,
+    )
+    coarse_budget = max(stage.budget * 3 // 5, 1)
+    x_coarse, _ = estimate._multistart(coarse.costs, box, coarse_budget, rng)
+    options = estimate._nm_options(x_coarse, box, max(stage.budget - coarse_budget, 1), 0.08)
+    x_fine, f_fine = estimate.minimize(fine.costs, x_coarse, options=options)
+    f_coarse, f_identity = fine.costs([x_coarse, np.zeros(6)])
+    candidates = [(f_fine, 0, x_fine), (f_coarse, 1, x_coarse), (f_identity, 2, np.zeros(6))]
+    f_best, _, x_best = min(candidates, key=lambda c: (c[0], c[1]))
+    if not math.isfinite(f_best):
+        raise NoOverlapError("no candidate produced enough raster overlap")
+    return from_euler(x_best)
+
+
+@pytest.mark.parametrize("budget", [1, 2, 50, 1600])
+@pytest.mark.parametrize("miscalibrated", [True, False])
+def test_pairwise_equals_the_three_candidate_rule(frame, monkeypatch, budget, miscalibrated):
+    """The fine search starts at the coarse winner and never returns a
+    higher cost, so the coarse candidate never wins; dropping it keeps the
+    bits and every alignment_cost call.  The identity wins the miscalibrated
+    case below budget 1600, and ties the fine result on the unperturbed one."""
+    import sensorcal.estimate as estimate
+
+    source = frame.lidar.without_channels()
+    t_mis = sample_miscalibration(SMALL, np.random.default_rng(66))
+    target = project_equirect(apply(t_mis, source) if miscalibrated else source, SPARSE_CFG.projection)
+    stage = EstimatorStage(bounds=SMALL, budget=budget)
+    calls = []
+    counted = estimate.alignment_cost
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return counted(*args, **kwargs)
+
+    monkeypatch.setattr(estimate, "alignment_cost", counting)
+    est = estimate_pairwise(source, target, stage, SPARSE_CFG, seed=3)
+    n_calls = len(calls)
+    ref = reference_estimate_pairwise(source, target, stage, SPARSE_CFG, seed=3)
+    assert est.q.tobytes() == ref.q.tobytes() and est.t.tobytes() == ref.t.tobytes()
+    assert n_calls == len(calls) - n_calls
+
+
 def test_oracle_and_identity_estimators(perturbed):
     gt = true_edges(perturbed)
     oracle = oracle_estimator([perturbed])

@@ -224,6 +224,32 @@ def test_edge_cost_objective(scipy_minimize):
         same_run(scipy_minimize, cost, _initial_simplex(x0, box, 0.35), maxfev, fatol=1e-6)
 
 
+@given(st.sampled_from([6, 18]), st.integers(0, 2**32 - 1), st.sampled_from([0.0, 0.5, 2.0]))
+def test_minimize_never_returns_more_than_the_cost_of_x0(n, seed, quantum):
+    # the first vertex is x0, and the best cost of the simplex never rises:
+    # estimate_pairwise relies on it to drop its start as a candidate
+    bowl = _bumpy(n, seed)
+    simplex = _box_simplex(n, seed)
+    centre = simplex[0].copy()
+
+    def quantised(x):
+        return quantum * math.floor(bowl(x) / quantum) if quantum else bowl(x)
+
+    def plateau(x):
+        # reflection and contraction miss, so the first iteration shrinks
+        d = float(np.max(np.abs(x - centre)))
+        return d if d < 0.05 else math.inf
+
+    # n + 5 runs out after the shrink's second evaluation
+    for fun, maxfev in ((quantised, 1), (quantised, 2), (quantised, 7), (plateau, n + 5)):
+        calls = []
+        options = {"maxfev": maxfev, "fatol": 1e-12, "xatol": 1e-7, "initial_simplex": simplex}
+        _, f = minimize(_one_at_a_time(_recorded(fun, calls)), centre, options=options)
+        assert len(calls) == maxfev
+        assert f <= fun(centre)
+    assert all(plateau(np.frombuffer(c)) == math.inf for c in calls[n + 1 : n + 3])
+
+
 # --- lock-step searches --------------------------------------------------------
 
 

@@ -4,7 +4,8 @@
 ``_cast`` skips the rays whose line passes far from a primitive's bounding
 sphere, and the camera is rendered one block of image rows at a time.  All
 must give the bits the earlier code gave, and a culled ray must be one the
-full intersection maps to inf.
+full intersection maps to inf.  ``Cylinder.intersect`` reports no hit for a
+ray along its axis (dx**2 + dy**2 below 1e-10), and so does its reference.
 """
 
 import itertools
@@ -52,11 +53,12 @@ def reference_box_intersect(box, origin, dirs):
 
 
 def reference_cylinder_intersect(cyl, origin, dirs):
-    """Cylinder.intersect as it was when culling was added."""
+    """Cylinder.intersect as it was when culling was added, with its rule that
+    a ray whose horizontal part dx**2 + dy**2 is below 1e-10 misses."""
     ox = origin[0] - cyl.cx
     oy = origin[1] - cyl.cy
-    a = dirs[:, 0] ** 2 + dirs[:, 1] ** 2
-    a = np.where(a < 1e-12, 1e-12, a)
+    horizontal = dirs[:, 0] ** 2 + dirs[:, 1] ** 2
+    a = np.where(horizontal < 1e-12, 1e-12, horizontal)
     b = 2.0 * (ox * dirs[:, 0] + oy * dirs[:, 1])
     c = ox * ox + oy * oy - cyl.radius**2
     disc = b * b - 4.0 * a * c
@@ -67,7 +69,7 @@ def reference_cylinder_intersect(cyl, origin, dirs):
         z = origin[2] + t * dirs[:, 2]
         ok = (disc >= 0.0) & (t > _EPS) & (z >= cyl.z_min) & (z <= cyl.z_max)
         best = np.where(ok & (t < best), t, best)
-    return best
+    return np.where(horizontal < 1e-10, np.inf, best)
 
 
 def reference_intersect(prim, origin, dirs):
@@ -121,7 +123,7 @@ def reference_render_camera(spec, pose):
 # neighbours just above the guard.
 _GUARDED = np.array([0.0, -0.0, 1e-13, -1e-13, 9.9e-13, -9.9e-13, 1e-12, -1e-12, 1.1e-12, -1.1e-12])
 # Horizontal parts of near-vertical rays: a = dx**2 + dy**2 spans the
-# cylinder's 1e-12 guard and the 1e-10 culling exemption.
+# cylinder's 1e-10 rule for rays along its axis.
 _NEAR_VERTICAL = np.array([0.0, 1e-7, 9.9e-7, 1e-6, 3e-6, 9.9e-6, 1e-5, 1.1e-5, 1e-4])
 
 
@@ -301,16 +303,34 @@ def test_rays_within_the_margin_of_the_sphere_are_kept(prim):
     assert _rays_near(np.zeros(3), outside, prim).size == 0
 
 
-def test_near_vertical_rays_at_cylinders_are_never_culled():
-    # the guard on a makes the quadratic non-geometric for these rays, so
-    # their distance to the bounding sphere says nothing
-    cyl = Cylinder(cx=6.0, cy=-3.0, radius=0.2, z_min=-1.6, z_max=1.0)
-    eps = np.array([0.0, 1e-7, 1e-6, 9.9e-6])
-    for sign in (-1.0, 1.0):
-        dirs = np.stack([eps, np.zeros_like(eps), sign * np.sqrt(1.0 - eps**2)], axis=1)
-        assert _rays_near(np.zeros(3), dirs, cyl).tolist() == [0, 1, 2, 3]
-    box = Box(center=(6.0, -3.0, -0.3), size=(0.4, 0.4, 2.6))
-    assert _rays_near(np.zeros(3), dirs, box).size == 0
+@given(
+    _cylinders,
+    st.sampled_from([0.0, -1e-13, -1e-6, -1e-5, -1e-4, 1e-6])
+    | st.floats(-1e-3, 1e-3)
+    | st.floats(-1.0, 1.0),
+    st.floats(-math.pi, math.pi),
+    st.floats(-0.2, 1.2),
+    st.lists(st.floats(0.0, 1e-5), min_size=1, max_size=8),
+)
+def test_rays_along_a_cylinder_axis_miss_it(cyl, offset, psi, height, horizontal):
+    # dx**2 + dy**2 below 1e-10, up and down, drifting out of and into the
+    # side surface from an origin offset radii off it, inside or outside
+    rho = cyl.radius * (1.0 + offset)
+    z = cyl.z_min + height * (cyl.z_max - cyl.z_min)
+    origin = np.array([cyl.cx + rho * math.cos(psi), cyl.cy + rho * math.sin(psi), z])
+    eps = np.array(horizontal)
+    outward = np.stack([eps * math.cos(psi), eps * math.sin(psi), np.sqrt(1.0 - eps**2)], axis=1)
+    dirs = np.concatenate([outward * [s, s, z_sign] for s in (1.0, -1.0) for z_sign in (1.0, -1.0)])
+    dirs = dirs[dirs[:, 0] ** 2 + dirs[:, 1] ** 2 < 1e-10]
+    assert np.all(cyl.intersect(origin, dirs) == np.inf)
+
+
+def test_a_vertical_ray_just_inside_a_pole_misses_it():
+    # 1e-13 m inside the surface: clamping dx**2 + dy**2 to 1e-12 instead
+    # would report a hit 0.245 m up
+    cyl = Cylinder(cx=0.0, cy=0.0, radius=0.3, z_min=-1.6, z_max=2.0)
+    dirs = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
+    assert cyl.intersect(np.array([0.3 - 1e-13, 0.0, 0.0]), dirs).tolist() == [np.inf, np.inf]
 
 
 @st.composite
@@ -482,7 +502,6 @@ _OFF_CENTRE = ProjectionConfig.pinhole(96, 40, fx=70.0, fy=52.0, cx=31.7, cy=26.
 # odd sizes with the principal point on a pixel centre: one ray is the optical axis
 _UP_WIDE = ProjectionConfig.pinhole(33, 33, fx=20.0, fy=20.0, cx=16.5, cy=16.5)
 _UP_NARROW = ProjectionConfig.pinhole(33, 33, fx=400.0, fy=400.0, cx=16.5, cy=16.5)
-_POLE = Cylinder(cx=3.0, cy=0.0, radius=0.2, z_min=-1.6, z_max=0.5)
 # the default camera's rotation at the origin: optical axis world +x, image down world -z
 _FORWARD = RigidTransform.from_matrix(np.array([[0, 0, 1, 0], [-1, 0, 0, 0], [0, -1, 0, 0]], float))
 
@@ -494,7 +513,8 @@ def _cull_cases():
     all_three = compose(cam, from_euler([-0.4, 0.5, -1.1, 0.3, -0.2, 0.1]))
     scene = random_scene_spec(seed=5)
     # a pole, a box and a pole further off, and a canopy overhead
-    poles = (GroundPlane(), _POLE, Box(center=(-2.0, 1.5, 0.0), size=(0.6, 0.6, 3.0)),
+    poles = (GroundPlane(), Cylinder(cx=3.0, cy=0.0, radius=0.2, z_min=-1.6, z_max=0.5),
+             Box(center=(-2.0, 1.5, 0.0), size=(0.6, 0.6, 3.0)),
              Cylinder(cx=0.0, cy=1.0, radius=0.3, z_min=-1.6, z_max=3.0),
              Box(center=(0.0, 0.0, 6.0), size=(2.0, 2.0, 0.2)))
     # from _FORWARD through _camera(65): a box across the border of image
@@ -582,17 +602,6 @@ def test_spheres_within_the_margin_of_a_plane_are_kept(scale, kept, monkeypatch)
     box = replace(box, center=tuple(centre.tolist()))
     _, calls = _casts(SceneSpec(primitives=(box,), camera=cfg), _looking_up(), monkeypatch)
     assert (box in calls[0][2]) == kept
-
-
-def test_cylinders_stay_in_a_block_with_a_near_vertical_ray(monkeypatch):
-    # the narrow camera looks straight up past the pole; its optical axis is
-    # a ray of the first block, whose frustum the pole's sphere lies outside
-    spec, pose = _CULL_CASES["looking-up-past-a-pole"]
-    _, calls = _casts(spec, pose, monkeypatch)
-    assert [_POLE in kept for _, _, kept in calls] == [True, False]
-    box = Box(center=_POLE.bounding_sphere[0], size=(0.4, 0.4, 2.1))
-    _, calls = _casts(replace(spec, primitives=(box,)), pose, monkeypatch)
-    assert [box in kept for _, _, kept in calls] == [False, False]
 
 
 def test_a_scene_without_primitives_renders_an_empty_image():

@@ -9,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 
 from sensorcal.transform import (
     RigidTransform,
+    _quat_from_rotation_matrix,
     apply,
     compose,
     from_euler,
@@ -396,3 +397,77 @@ def test_se3_round_trips_near_gimbal_lock(roll, pitch, yaw, t):
     if abs(pitch) <= math.pi / 2 - 1e-4:
         assert d_rot <= 1e-9
     assert np.max(np.abs(compose(a, invert(a)).matrix() - np.eye(4))) <= 1e-12
+
+
+def reference_quat_from_rotation_matrix(r):
+    """Shepperd's method with its three diagonal pivots written out one by one."""
+    trace = r[0, 0] + r[1, 1] + r[2, 2]
+    if trace > 0.0:
+        s = math.sqrt(trace + 1.0) * 2.0
+        return np.array(
+            [0.25 * s, (r[2, 1] - r[1, 2]) / s, (r[0, 2] - r[2, 0]) / s, (r[1, 0] - r[0, 1]) / s]
+        )
+    i = int(np.argmax([r[0, 0], r[1, 1], r[2, 2]]))
+    if i == 0:
+        s = math.sqrt(1.0 + r[0, 0] - r[1, 1] - r[2, 2]) * 2.0
+        return np.array(
+            [(r[2, 1] - r[1, 2]) / s, 0.25 * s, (r[0, 1] + r[1, 0]) / s, (r[0, 2] + r[2, 0]) / s]
+        )
+    if i == 1:
+        s = math.sqrt(1.0 - r[0, 0] + r[1, 1] - r[2, 2]) * 2.0
+        return np.array(
+            [(r[0, 2] - r[2, 0]) / s, (r[0, 1] + r[1, 0]) / s, 0.25 * s, (r[1, 2] + r[2, 1]) / s]
+        )
+    s = math.sqrt(1.0 - r[0, 0] - r[1, 1] + r[2, 2]) * 2.0
+    return np.array(
+        [(r[1, 0] - r[0, 1]) / s, (r[0, 2] + r[2, 0]) / s, (r[1, 2] + r[2, 1]) / s, 0.25 * s]
+    )
+
+
+def _half_turn(axis):
+    n = np.asarray(axis, dtype=float) / np.linalg.norm(axis)
+    return 2.0 * np.outer(n, n) - np.eye(3)
+
+
+# every pivot: the identity, half turns (trace -1) about the axes and about
+# directions that tie diagonal entries, cyclic permutations (trace exactly 0,
+# every diagonal entry 0), signed zeros, and rotations from from_euler
+_PIVOT_MATRICES = [
+    np.eye(3), -np.eye(3), np.diag([1.0, -1.0, -1.0]), np.diag([-1.0, 1.0, -1.0]),
+    np.diag([-1.0, -1.0, 1.0]), _half_turn([1, 1, 0]), _half_turn([0, 1, 1]),
+    _half_turn([1, 0, 1]), _half_turn([1, 1, 1]), _half_turn([1, -2, 3]),
+    np.roll(np.eye(3), 1, axis=0), np.roll(np.eye(3), 2, axis=0),
+    -np.roll(np.eye(3), 1, axis=0), np.diag([0.0, -0.0, 0.0]), np.diag([-0.0, -0.0, -0.0]),
+    from_euler([0.0, 0.0, 2 * math.pi / 3, 0, 0, 0]).rotation_matrix(),
+    from_euler([math.pi, 0.0, 0.0, 0, 0, 0]).rotation_matrix(),
+    from_euler([0.0, math.pi, 0.0, 0, 0, 0]).rotation_matrix(),
+    from_euler([0.0, 0.0, math.pi, 0, 0, 0]).rotation_matrix(),
+]
+
+
+def _pivot(r):
+    diagonal = [r[0, 0], r[1, 1], r[2, 2]]
+    return "trace" if sum(diagonal) > 0.0 else int(np.argmax(diagonal))
+
+
+def test_the_pivot_matrices_take_every_pivot_with_ties_and_a_zero_trace():
+    pivots = [_pivot(r) for r in _PIVOT_MATRICES]
+    assert set(pivots) == {"trace", 0, 1, 2}
+    assert any(np.trace(r) == 0.0 for r in _PIVOT_MATRICES)
+    assert any(len(set(np.diag(r).tolist())) < 3 and _pivot(r) == 1 for r in _PIVOT_MATRICES)
+
+
+@pytest.mark.parametrize("r", _PIVOT_MATRICES, ids=range(len(_PIVOT_MATRICES)))
+def test_quaternion_of_a_matrix_equals_the_three_branch_reference_on_every_pivot(r):
+    for m in (r, r.T):
+        assert _quat_from_rotation_matrix(m).tobytes() == reference_quat_from_rotation_matrix(m).tobytes()
+
+
+def test_quaternion_of_a_matrix_equals_the_three_branch_reference_on_random_matrices():
+    # the order of the pivot's sum changes the rounding on about one random
+    # rotation in twenty; matrices of quarters make ties and zero traces
+    rng = np.random.default_rng(4)
+    matrices = [RigidTransform(q=q, t=np.zeros(3)).rotation_matrix() for q in rng.normal(size=(4000, 4))]
+    matrices += [*rng.choice(np.arange(-4, 5) / 4.0, (4000, 3, 3))]
+    for r in matrices:
+        assert _quat_from_rotation_matrix(r).tobytes() == reference_quat_from_rotation_matrix(r).tobytes()
