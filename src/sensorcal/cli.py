@@ -50,7 +50,7 @@ from .metrics import (
 )
 from .perturb import PRESETS, MiscalBounds, apply_miscalibration, sample_miscalibration
 from .pipeline import aggregate_sequence, refine_multiframe, stages_from_preset
-from .projection import ProjectionConfig, pinhole_range_pixels
+from .projection import ProjectionConfig, _pinhole_pixels
 from .transform import RigidTransform, invert, transform_points
 
 DEPTH_SCALE = 80.0
@@ -411,14 +411,21 @@ def _prediction_row(where: str, line: str) -> dict:
 
 
 def _read_predictions(path: Path) -> list[dict]:
-    """Rows of a predictions.csv; a malformed line raises ParseError naming it."""
+    """Rows of a predictions.csv; a malformed line, or one that repeats the
+    run, frame and pair of an earlier line, raises ParseError naming it."""
     try:
         lines = path.read_text(encoding="ascii").splitlines()
     except UnicodeDecodeError:
         raise ParseError(f"{path}: not an ASCII CSV file") from None
     if not lines or lines[0] != _PREDICTIONS_HEADER:
         raise ParseError(f"{path}:1: expected the predictions.csv header")
-    return [_prediction_row(f"{path}:{n}", line) for n, line in enumerate(lines[1:], start=2)]
+    rows = [_prediction_row(f"{path}:{n}", line) for n, line in enumerate(lines[1:], start=2)]
+    first: dict[tuple, int] = {}
+    for n, row in enumerate(rows, start=2):
+        k = first.setdefault((row["run"], row["frame"], row["pair"]), n)
+        if k != n:
+            raise ParseError(f"{path}:{n}: repeats run, frame and pair of line {k}")
+    return rows
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
@@ -439,7 +446,8 @@ def _overlay(frame: FrameSet, edges: PredictionSet, depth_scale: float, out_path
     if edges.radar_cam is not None:
         layers.append((invert(edges.radar_cam), frame.radar, 49152))
     for edge, cloud, gray in layers:
-        pix, _ = pinhole_range_pixels(transform_points(edge, cloud.xyz), frame.camera_config)
+        # one gray per layer: a pixel marked twice needs no nearest-wins reduction
+        pix = _pinhole_pixels(transform_points(edge, cloud.xyz), frame.camera_config)[0]
         img.reshape(-1)[pix] = gray
     write_pgm(img, out_path, 65535.0)
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
 
@@ -140,11 +140,6 @@ class Cylinder:
 Primitive = GroundPlane | Box | Cylinder
 
 
-def _default_camera() -> ProjectionConfig:
-    # 90 degree horizontal field of view looking along +z.
-    return ProjectionConfig.pinhole(640, 320, fx=320.0, fy=320.0, cx=320.0, cy=160.0)
-
-
 @dataclass(frozen=True)
 class SceneSpec:
     """Deterministic description of one synthetic scene."""
@@ -160,7 +155,8 @@ class SceneSpec:
     max_range: float = 80.0
     lidar_elevation: tuple[float, float] = (-0.45, 0.25)
     radar_elevation: tuple[float, float] = (-0.21, 0.09)
-    camera: ProjectionConfig = field(default_factory=_default_camera)
+    # 90 degree horizontal field of view looking along +z
+    camera: ProjectionConfig = ProjectionConfig.pinhole(640, 320, 320.0, 320.0, 320.0, 160.0)
 
     def __post_init__(self) -> None:
         if self.lidar_density < 0 or self.radar_density < 0:
@@ -480,6 +476,8 @@ def load_calib(path) -> dict[str, RigidTransform]:
             raise ParseError(f"{path}: missing ':' in line {line!r}")
         key, _, rest = line.partition(":")
         key = key.strip()
+        if key in out:
+            raise ParseError(f"{path}: repeated row {key!r}")
         try:
             values = [float(v) for v in rest.split()]
         except ValueError as exc:

@@ -26,10 +26,10 @@ from .perturb import MiscalBounds
 from .projection import (
     ProjectionConfig,
     _check_schema,
-    _merge_nearest,
+    _equirect_segments,
+    _nearest_per_segment,
     _row_blocks,
     equirect_range_pixels,
-    equirect_range_pixels_batch,
     project_equirect,
     unproject_equirect,
     unproject_pinhole,
@@ -338,7 +338,7 @@ _LR_RASTER_SHRINK = 8
 def _band(pix: np.ndarray, r: np.ndarray, proj: ProjectionConfig) -> tuple[int, np.ndarray]:
     """The rows of a range raster that hold a return, and the first of them.
 
-    pix and r are an output of ``_nearest_per_pixel``, so pix is sorted.
+    pix and r are an output of ``_nearest_per_segment``, so pix is sorted.
     A raster without returns is an empty band at row 0.
     """
     if pix.size == 0:
@@ -355,15 +355,18 @@ def _camera_target(
     """Band of ``project_equirect(apply(pull_back, camera cloud), proj)``.
 
     The camera depth image is unprojected, pulled back and reduced one block
-    of rows at a time, so the whole camera cloud is never held; the blocks'
-    nearest ranges merge into the reduction of the whole cloud.
+    of rows at a time, so the whole camera cloud is never held.  Reducing
+    the blocks' nearest float32 ranges once more gives the reduction of the
+    whole cloud, in any block order: float32 rounding is monotonic, and
+    float32 ranges round to themselves.
     """
     depth, camera = frame.camera_depth, frame.camera_config
     blocks = []
     for row0, row1 in _row_blocks(np.count_nonzero(depth[..., 0] > 0, axis=1)):
         cloud = unproject_pinhole(depth[row0:row1], camera, first_row=row0)
         blocks.append(equirect_range_pixels(apply(pull_back, cloud).xyz, proj))
-    return _band(*_merge_nearest(blocks, proj), proj)
+    pix, r = (np.concatenate(parts) for parts in zip(*blocks))
+    return _band(*_nearest_per_segment(pix, r, None, 1, proj)[0], proj)
 
 
 def _frustum_crop(cloud: PointCloud, axis: np.ndarray, half_angle: float) -> PointCloud:
@@ -376,12 +379,6 @@ def _frustum_crop(cloud: PointCloud, axis: np.ndarray, half_angle: float) -> Poi
     if np.count_nonzero(keep) < 32:
         return cloud
     return cloud.subset(keep)
-
-
-def _camera_half_fov(cfg: ProjectionConfig) -> float:
-    return math.atan(
-        math.hypot(0.5 * cfg.width / cfg.fx, 0.5 * cfg.height / cfg.fy)
-    )
 
 
 # Points projected together in one batch of residuals: the batch's
@@ -429,8 +426,8 @@ class _EdgeProblem:
         neither projected nor scored: the cost depends only on its bits, so
         the results keep every bit.  The rest are projected in batches of
         about _BATCH_POINTS points (at least one residual), one
-        ``equirect_range_pixels_batch`` per batch, and scored in order; the
-        memo gains each mean.
+        ``_equirect_segments`` per batch, and scored in order; the memo gains
+        each mean.
         """
         keys = [r.q.tobytes() + r.t.tobytes() for r in residuals]
         unique = dict(zip(keys, residuals))
@@ -439,8 +436,8 @@ class _EdgeProblem:
         per_batch = max(_BATCH_POINTS // max(self._points, 1), 1)
         for start in range(0, len(todo), per_batch):
             batch = todo[start : start + per_batch]
-            segments = [(r, source.xyz) for _, r in batch for source in self.sources]
-            projected = iter(equirect_range_pixels_batch(segments, self.cfg.projection))
+            parts = [transform_points(r, source.xyz) for _, r in batch for source in self.sources]
+            projected = iter(_equirect_segments(parts, self.cfg.projection))
             for key, residual in batch:
                 pixels = [next(projected) for _ in self.sources]
                 cost = 0.0
@@ -529,17 +526,15 @@ def _build_problems(
             bands = [_cached_camera_target(frame, pull_back, proj) for frame in frames]
         for frame in frames:
             if name == "cam_lidar":
-                source = frame.lidar.without_channels()
+                cam = frame.camera_config
+                half_fov = math.atan(math.hypot(0.5 * cam.width / cam.fx, 0.5 * cam.height / cam.fy))
                 axis = pull_back.rotation_matrix() @ np.array([0.0, 0.0, 1.0])
-                source = _frustum_crop(
-                    source, axis, _camera_half_fov(frame.camera_config) + crop_margin
-                )
-            elif name == "lidar_radar":
-                target_cloud = apply(pull_back, frame.lidar.without_channels())
-                bands.append(_band(*equirect_range_pixels(target_cloud.xyz, proj), proj))
-                source = frame.radar.without_channels()
+                source = _frustum_crop(frame.lidar.without_channels(), axis, half_fov + crop_margin)
             else:
                 source = frame.radar.without_channels()
+            if name == "lidar_radar":
+                target_cloud = apply(pull_back, frame.lidar.without_channels())
+                bands.append(_band(*equirect_range_pixels(target_cloud.xyz, proj), proj))
             sources.append(source)
         problems.append(
             _EdgeProblem(

@@ -9,13 +9,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .data import PointCloud
 from .errors import SchemaMismatchError
-from .transform import RigidTransform, transform_points
 
 __all__ = [
     "ProjectionConfig",
@@ -23,8 +22,6 @@ __all__ = [
     "cart_to_spherical",
     "equirect_pixel",
     "equirect_range_pixels",
-    "equirect_range_pixels_batch",
-    "pinhole_range_pixels",
     "pinhole_rays",
     "project_equirect",
     "project_pinhole",
@@ -250,14 +247,6 @@ def _nearest_per_segment(
     return [(ids[a:b], r[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
 
 
-def _nearest_per_pixel(
-    pix: np.ndarray, r: np.ndarray, cfg: ProjectionConfig
-) -> tuple[np.ndarray, np.ndarray]:
-    """Occupied flat pixel ids and their nearest float32 ranges (r >= 0): the
-    one segment of ``_nearest_per_segment``."""
-    return _nearest_per_segment(pix, r, None, 1, cfg)[0]
-
-
 # Camera images are rendered and unprojected this many rows at a time, so
 # the camera path holds one block of points rather than the whole image's:
 # 32 rows of the default 640x320 camera are 20,480 points.
@@ -287,50 +276,27 @@ def _row_blocks(points_per_row: np.ndarray) -> list[tuple[int, int]]:
     return list(zip(bounds[:-1], bounds[1:]))
 
 
-def _merge_nearest(
-    blocks: Iterable[tuple[np.ndarray, np.ndarray]], cfg: ProjectionConfig
-) -> tuple[np.ndarray, np.ndarray]:
-    """One ``_nearest_per_pixel`` output from the outputs of blocks of points.
-
-    Float32 rounding is monotonic, so a pixel's nearest float32 range over
-    all points is the smallest of the blocks' nearest ranges, whatever the
-    order of the blocks; and float32 ranges round to themselves.  The result
-    is the reduction of all the points at once.
-    """
-    pix, r = (np.concatenate(parts) for parts in zip(*blocks))
-    return _nearest_per_pixel(pix, r, cfg)
-
-
 def equirect_range_pixels(xyz: np.ndarray, cfg: ProjectionConfig) -> tuple[np.ndarray, np.ndarray]:
     """Occupied flat pixel ids and their winning float32 ranges.
 
     Sparse equivalent of ``project_equirect(...)[..., 0]``: the returned
     pixels are exactly the nonzero pixels of the raster and carry identical
     values, without allocating the image.  The nearest-wins reduction is
-    ``_nearest_per_pixel``.
+    ``_nearest_per_segment``.
     """
     return _equirect_segments([np.asarray(xyz, dtype=float)], cfg)[0]
-
-
-def equirect_range_pixels_batch(
-    segments: Sequence[tuple[RigidTransform, np.ndarray]], cfg: ProjectionConfig
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """``equirect_range_pixels(transform_points(c, xyz), cfg)`` of each ``(c, xyz)``.
-
-    Each segment is transformed by its own ``transform_points`` call, which
-    fixes the bits of its points; ranges, pixel ids and the nearest-wins
-    sort then run once over all of them (see ``_nearest_per_segment``).
-    Every step is elementwise or keeps the segments apart, so each result is
-    bit-identical to the segment projected alone, at a fraction of the
-    per-call overhead when segments are small.
-    """
-    return _equirect_segments([transform_points(c, xyz) for c, xyz in segments], cfg)
 
 
 def _equirect_segments(
     parts: Sequence[np.ndarray], cfg: ProjectionConfig
 ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per (N_k, 3) float64 part, ``_nearest_per_pixel`` of its points with r > 0."""
+    """Per (N_k, 3) float64 part, ``equirect_range_pixels`` of its points.
+
+    Ranges, pixel ids and the nearest-wins sort run once over all parts, and
+    every step is elementwise or keeps the parts apart, so each result keeps
+    the bits of its part projected alone.  A caller passes one
+    ``transform_points`` output per part, as that call fixes the points' bits.
+    """
     # segment indices share the sort key's high word with the pixel ids
     per_sort = max(2**32 >> (cfg.width * cfg.height - 1).bit_length(), 1)
     if len(parts) > per_sort:
@@ -392,16 +358,6 @@ def _pinhole_pixels(
     r = _ranges(xyz[inside])
     pix = v[inside].astype(np.int64) * cfg.width + u[inside].astype(np.int64)
     return pix, r, np.flatnonzero(keep)[inside]
-
-
-def pinhole_range_pixels(xyz: np.ndarray, cfg: ProjectionConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Occupied flat pixel ids and their winning float32 ranges.
-
-    Sparse equivalent of ``project_pinhole(...)[..., 0]`` for a bare cloud,
-    as ``equirect_range_pixels`` is of ``project_equirect``.
-    """
-    pix, r, _ = _pinhole_pixels(np.asarray(xyz, dtype=float), cfg)
-    return _nearest_per_pixel(pix, r, cfg)
 
 
 def project_pinhole(cloud: PointCloud, cfg: ProjectionConfig) -> np.ndarray:

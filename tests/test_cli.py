@@ -305,6 +305,8 @@ def test_render_predicted_requires_pred(frames_dir, tmp_path):
          "calib.txt: no 'lidar_radar' row"),
         (["calibrate", "--frames", "{nan_calib}", "--scenario", "small", "--budget", "50"], 2,
          "calib.txt: row 'radar_cam' has a value that is not finite"),
+        (["calibrate", "--frames", "{twice_calib}", "--scenario", "small", "--budget", "50"], 2,
+         "calib.txt: repeated row 'cam_lidar'"),
         (["perturb", "--frames", "{nan_mis}"], 2,
          "mis.txt: row 'radar_mis' has a value that is not finite"),
         (["calibrate", "--frames", "{cut_depth}", "--scenario", "small"], 2,
@@ -325,6 +327,8 @@ def test_render_predicted_requires_pred(frames_dir, tmp_path):
          2, "empty_pred.txt: no 'cam_lidar' row"),
         (["render", "--frames", "{frames}", "--source", "gt", "predicted", "--pred", "{cl_lr_pred}"],
          2, "cl_lr_pred.txt: no 'radar_cam' row"),
+        (["render", "--frames", "{frames}", "--source", "gt", "predicted", "--pred", "{twice_pred}"],
+         2, "twice_pred.txt: repeated row 'cam_lidar'"),
     ],
     ids=[
         "calibrate",
@@ -339,6 +343,7 @@ def test_render_predicted_requires_pred(frames_dir, tmp_path):
         "calibrate-nan-lidar-point",
         "calibrate-calib-missing-row",
         "calibrate-calib-nan",
+        "calibrate-calib-repeated-row",
         "perturb-mis-nan",
         "calibrate-depth-cut-after-header",
         "calibrate-depth-image-size",
@@ -350,6 +355,7 @@ def test_render_predicted_requires_pred(frames_dir, tmp_path):
         "render-pred-only-lidar-radar",
         "render-pred-empty",
         "render-pred-no-radar-cam",
+        "render-pred-repeated-row",
     ],
 )
 def test_rejected_command_writes_nothing(frames_dir, tmp_path, capsys, args, code, message):
@@ -361,14 +367,14 @@ def test_rejected_command_writes_nothing(frames_dir, tmp_path, capsys, args, cod
         (tmp_path / name / "manifest.json").write_text(text)
     dirs = {name: tmp_path / name for name in manifests}
     # copies of the frames with the last frame's lidar.bin one byte short or
-    # with a NaN coordinate, its calib.txt without the lidar_radar row or
-    # with a nan in the radar_cam row, a mis.txt with a nan, its
-    # camera_depth.pgm cut after the header, a 200x100 depth image under the
-    # manifest's 640x320 camera, or three radar points 50 m ahead; or with
-    # fx 0 in the manifest
+    # with a NaN coordinate, its calib.txt without the lidar_radar row, with
+    # a nan in the radar_cam row or with a second cam_lidar row, a mis.txt
+    # with a nan, its camera_depth.pgm cut after the header, a 200x100 depth
+    # image under the manifest's 640x320 camera, or three radar points 50 m
+    # ahead; or with fx 0 in the manifest
     last = {}
-    copies = ("cut_lidar", "nan_lidar", "no_row", "nan_calib", "nan_mis", "cut_depth",
-              "wrong_size", "far_radar", "zero_fx")
+    copies = ("cut_lidar", "nan_lidar", "no_row", "nan_calib", "twice_calib", "nan_mis",
+              "cut_depth", "wrong_size", "far_radar", "zero_fx")
     for name in copies:
         dirs[name] = shutil.copytree(frames_dir, tmp_path / name)
         last[name] = dirs[name] / "frame_001"
@@ -383,14 +389,20 @@ def test_rejected_command_writes_nothing(frames_dir, tmp_path, capsys, args, cod
     rows[-1] = rows[-1].rsplit(" ", 1)[0] + " nan"
     (last["nan_calib"] / "calib.txt").write_text("\n".join(rows) + "\n")
     identity = " 1 0 0 0 0 1 0 0 0 0 1 0"
+    moved = " 1 0 0 5 0 1 0 0 0 0 1 0"  # tx = 5: a repeated row that would win if kept
+    with open(last["twice_calib"] / "calib.txt", "a") as f:
+        f.write(f"cam_lidar:{moved}\n")
     (last["nan_mis"] / "mis.txt").write_text(
         f"lidar_mis:{identity}\nradar_mis: 1 0 0 0 0 1 0 0 0 0 1 nan\n"
     )
     nan_pred = tmp_path / "nan_pred.txt"
     nan_pred.write_text(f"cam_lidar: 1 0 0 nan 0 1 0 0 0 0 1 0\nlidar_radar:{identity}\n")
-    preds = {"lr_pred": ["lidar_radar"], "empty_pred": [], "cl_lr_pred": ["cam_lidar", "lidar_radar"]}
+    preds = {"lr_pred": ["lidar_radar"], "empty_pred": [], "cl_lr_pred": ["cam_lidar", "lidar_radar"],
+             "twice_pred": ["cam_lidar", "radar_cam"]}
     for name, pairs in preds.items():
         (tmp_path / f"{name}.txt").write_text("".join(f"{pair}:{identity}\n" for pair in pairs))
+    with open(tmp_path / "twice_pred.txt", "a") as f:
+        f.write(f"cam_lidar:{moved}\n")
     (last["cut_depth"] / "camera_depth.pgm").write_bytes(b"P5\n640 320\n65535\n")
     write_pgm(np.zeros((100, 200)), last["wrong_size"] / "camera_depth.pgm", 80.0)
     np.tile([50.0, 0, 0, 0, 0, 0], (3, 1)).astype("<f4").tofile(last["far_radar"] / "radar.bin")
@@ -618,6 +630,20 @@ def test_evaluate_malformed_row_is_diagnosed(frames_dir, tmp_path, capsys, mutat
     assert main(["evaluate", "--pred", str(bad), "--out", str(tmp_path / "eval")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f"{bad}:3: {message}" in err
+
+
+def test_evaluate_rejects_a_repeated_row(frames_dir, tmp_path, capsys):
+    # the last row twice: its pair would be counted twice
+    lines = _identity_predictions(frames_dir, tmp_path).read_text().splitlines()
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join([*lines, lines[-1]]) + "\n")
+    capsys.readouterr()
+    assert main(["evaluate", "--pred", str(bad), "--out", str(tmp_path / "eval")]) == 2
+    err = capsys.readouterr().err
+    n = len(lines)
+    assert err.startswith("error: ")
+    assert f"{bad}:{n + 1}: repeats run, frame and pair of line {n}" in err
+    assert not (tmp_path / "eval").exists()
 
 
 @pytest.mark.parametrize("content", [b"", b"run,frame\n", b"\xff\xfe\n"])

@@ -909,17 +909,17 @@ def test_a_joint_estimate_projects_no_empty_batch(perturbed, monkeypatch, memos)
     import sensorcal.estimate as estimate
 
     sizes = []
-    batch = estimate.equirect_range_pixels_batch
+    segments = estimate._equirect_segments
 
-    def recording(segments, cfg):
-        sizes.append(len(segments))
-        return batch(segments, cfg)
+    def recording(parts, cfg):
+        sizes.append(len(parts))
+        return segments(parts, cfg)
 
     stage = EstimatorStage(bounds=SMALL, budget=400)
     run = lambda: estimate_multiframe(  # noqa: E731
         [perturbed], stage, LossWeights(), AlignmentCostConfig(), seed=1
     )
-    monkeypatch.setattr(estimate, "equirect_range_pixels_batch", recording)
+    monkeypatch.setattr(estimate, "_equirect_segments", recording)
     skipping, calls = _counted_runs(monkeypatch, run)
     assert sizes and 0 not in sizes
     assert calls == 2335

@@ -14,7 +14,9 @@ from sensorcal.projection import (
     _BLOCK_ROWS,
     ProjectionConfig,
     SphericalCoord,
-    _merge_nearest,
+    _equirect_segments,
+    _nearest_per_segment,
+    _pinhole_pixels,
     _ranges,
     _rasterize,
     _row_blocks,
@@ -22,8 +24,6 @@ from sensorcal.projection import (
     cart_to_spherical,
     equirect_pixel,
     equirect_range_pixels,
-    equirect_range_pixels_batch,
-    pinhole_range_pixels,
     project_equirect,
     project_pinhole,
     unproject_pinhole,
@@ -320,10 +320,10 @@ def test_project_equirect_bare_equals_rasterize_path_on_a_camera_cloud():
     assert img.tobytes() == rasterize_reference(PointCloud.bare(xyz), cfg).tobytes()
 
 
-def pinhole_rasterize_reference(cloud, cfg):
-    """project_pinhole before bare clouds took the packed-key reduction:
-    np.linalg.norm ranges and the lexsort of _rasterize for every cloud."""
-    xyz = cloud.xyz
+def pinhole_reference_pixels(xyz, cfg):
+    """Integer pixel columns cast before the bounds check and np.linalg.norm
+    ranges, for the points inside the image: (flat pixel ids, ranges, kept
+    point indices)."""
     z = xyz[:, 2]
     keep = z > 0.0
     xyz = xyz[keep]
@@ -331,10 +331,14 @@ def pinhole_rasterize_reference(cloud, cfg):
     u = np.floor(cfg.fx * xyz[:, 0] / z + cfg.cx).astype(np.int64)
     v = np.floor(cfg.fy * xyz[:, 1] / z + cfg.cy).astype(np.int64)
     inside = (u >= 0) & (u < cfg.width) & (v >= 0) & (v < cfg.height)
-    index = np.flatnonzero(keep)[inside]
-    xyz = xyz[inside]
-    r = np.linalg.norm(xyz, axis=1)
     pix = v[inside] * cfg.width + u[inside]
+    return pix, np.linalg.norm(xyz[inside], axis=1), np.flatnonzero(keep)[inside]
+
+
+def pinhole_rasterize_reference(cloud, cfg):
+    """project_pinhole before bare clouds took the packed-key reduction:
+    the reference pixels and the lexsort of _rasterize for every cloud."""
+    pix, r, index = pinhole_reference_pixels(cloud.xyz, cfg)
     return _rasterize(pix, r, cloud.channels[index], index, cfg)
 
 
@@ -354,17 +358,22 @@ def test_project_pinhole_bare_equals_rasterize_path(xyz, layout, width, height, 
 
 
 def assert_pinhole_equals_reference(cloud, cfg):
-    """Bare clouds through the packed-key reduction that gen-scene and render
-    use, clouds with channels through project_pinhole."""
+    """project_pinhole, and the pixels render's overlay marks, against the reference."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        if cloud.schema:
-            img = project_pinhole(cloud, cfg)
-        else:
-            img = _range_image(*pinhole_range_pixels(cloud.xyz, cfg), cfg)
+        img = project_pinhole(cloud, cfg)
+        pix = _pinhole_pixels(cloud.xyz, cfg)[0]
     with np.errstate(invalid="ignore", over="ignore"):  # the reference casts columns past int64
-        ref = pinhole_rasterize_reference(cloud, cfg)
-    assert img.tobytes() == ref.tobytes()
+        assert img.tobytes() == pinhole_rasterize_reference(cloud, cfg).tobytes()
+        assert_marks_the_occupied_pixels(pix, cloud.xyz, cfg)
+
+
+def assert_marks_the_occupied_pixels(pix, xyz, cfg):
+    """pix marks each pixel the reference lands a point on, and no other.
+    (A pixel whose points all have squares that underflow holds range 0 in
+    the image, but a point still lands on it.)"""
+    ref_pix = pinhole_reference_pixels(xyz, cfg)[0]
+    assert np.unique(pix).tolist() == np.unique(ref_pix).tolist()
 
 
 @pytest.mark.parametrize("channels", [False, True])
@@ -389,8 +398,9 @@ def test_project_pinhole_bare_equals_rasterize_path_on_a_camera_cloud():
     cfg = ProjectionConfig.pinhole(640, 320, fx=320.0, fy=320.0, cx=320.0, cy=160.0)
     xyz = rng.normal(0.0, 15.0, (60000, 3))
     xyz[:20000] = np.round(xyz[:20000], 1)  # many points per pixel, exact ties
-    img = _range_image(*pinhole_range_pixels(xyz, cfg), cfg)
-    assert img.tobytes() == pinhole_rasterize_reference(PointCloud.bare(xyz), cfg).tobytes()
+    pix = _pinhole_pixels(xyz, cfg)[0]
+    occupied = pinhole_rasterize_reference(PointCloud.bare(xyz), cfg)[..., 0] > 0
+    assert np.unique(pix).tolist() == np.flatnonzero(occupied).tolist()
 
 
 _ranges_elements = st.floats(allow_nan=False) | st.sampled_from([0.0, -0.0])
@@ -434,8 +444,13 @@ def test_range_pixels_reject_rasters_of_2_pow_32_pixels():
 _COST_RASTERS = (ProjectionConfig.equirect(1536, 768), ProjectionConfig.equirect(192, 96))
 
 
+def _batch(segments, cfg):
+    """``_equirect_segments`` of one ``transform_points`` part per (candidate, xyz)."""
+    return _equirect_segments([transform_points(c, xyz) for c, xyz in segments], cfg)
+
+
 def assert_batch_equals_one_at_a_time(segments, cfg):
-    batch = equirect_range_pixels_batch(segments, cfg)
+    batch = _batch(segments, cfg)
     assert len(batch) == len(segments)
     for (candidate, xyz), (pix, r) in zip(segments, batch):
         ref_pix, ref_r = equirect_range_pixels(transform_points(candidate, xyz), cfg)
@@ -506,7 +521,7 @@ def test_batch_moves_points_to_range_0_on_the_poles_and_the_seam():
         w, h = cfg.width, cfg.height
         segments = [(to_zero, -t[None]), (down, xyz), (to_zero, np.concatenate([-t[None], xyz]))]
         assert_batch_equals_one_at_a_time(segments, cfg)
-        (zero, _), (pix, r), (mixed, _) = equirect_range_pixels_batch(segments, cfg)
+        (zero, _), (pix, r), (mixed, _) = _batch(segments, cfg)
         assert zero.size == 0 and mixed.size == 3  # both seam points share a pixel
         assert pix.tolist() == [w // 2, (h // 2) * w, (h - 1) * w + w // 2]
         assert r.tolist() == [7.5, 4.0, 10.5]
@@ -541,7 +556,7 @@ def test_batch_splits_segments_that_overflow_the_key():
 
 
 def test_batch_of_none_is_empty():
-    assert equirect_range_pixels_batch([], _COST_RASTERS[0]) == []
+    assert _equirect_segments([], _COST_RASTERS[0]) == []
 
 
 def test_full_sphere_coverage_vs_pinhole():
@@ -628,7 +643,8 @@ def test_merged_blocks_equal_the_whole_reduction(xyz, cuts, width, height):
     bounds = [0, *sorted(min(c, len(xyz)) for c in cuts), len(xyz)]
     blocks = [equirect_range_pixels(xyz[a:b], cfg) for a, b in zip(bounds[:-1], bounds[1:])]
     for order in (blocks, blocks[::-1]):
-        pix, r = _merge_nearest(iter(order), cfg)
+        pix, r = (np.concatenate(parts) for parts in zip(*order))
+        pix, r = _nearest_per_segment(pix, r, None, 1, cfg)[0]
         ref_pix, ref_r = equirect_range_pixels(xyz, cfg)
         assert pix.dtype == ref_pix.dtype and r.dtype == ref_r.dtype
         assert pix.tobytes() == ref_pix.tobytes() and r.tobytes() == ref_r.tobytes()
@@ -671,10 +687,8 @@ def test_unproject_pinhole_of_row_blocks_equals_the_whole_image():
     xyz=arrays(np.float64, st.tuples(st.integers(0, 60), st.just(3)), elements=st.floats(-20.0, 20.0)),
     layout=_layouts,
 )
-def test_pinhole_range_pixels_scatter_to_the_image(xyz, layout):
+def test_pinhole_pixels_mark_the_occupied_pixels(xyz, layout):
     cfg = ProjectionConfig.pinhole(24, 16, fx=10.0, fy=10.0, cx=12.0, cy=8.0)
-    pix, r = pinhole_range_pixels(_with_layout(xyz, layout), cfg)
-    assert np.all(np.diff(pix) > 0)
-    img = np.zeros(cfg.height * cfg.width, dtype=np.float32)
-    img[pix] = r
-    assert img.tobytes() == project_pinhole(PointCloud.bare(xyz), cfg).tobytes()
+    pix = _pinhole_pixels(_with_layout(xyz, layout), cfg)[0]
+    with np.errstate(invalid="ignore", over="ignore"):  # the reference casts columns past int64
+        assert_marks_the_occupied_pixels(pix, xyz, cfg)
